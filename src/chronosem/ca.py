@@ -161,7 +161,7 @@ def decompose(table: ProbabilityTable, tol: float | None = None) -> CAModel:
             row_coords[:, s] = -row_coords[:, s]
             col_coords[:, s] = -col_coords[:, s]
 
-    return CAModel(
+    model = CAModel(
         eigenvalues=lam,
         row_coords=row_coords,
         col_coords=col_coords,
@@ -169,6 +169,9 @@ def decompose(table: ProbabilityTable, tol: float | None = None) -> CAModel:
         col_masses=table.col_masses.copy(),
         total_inertia=inertia,
     )
+    for arr in (lam, row_coords, col_coords, model.row_masses, model.col_masses):
+        arr.flags.writeable = False
+    return model
 
 
 def fit_ca(counts, tol: float | None = None) -> tuple[ProbabilityTable, CAModel]:

@@ -60,6 +60,8 @@ def _validate(config: PipelineConfig, subcommand: str):
         raise ConfigError("--permutations must be >= 1")
     if config.rng_seed < 0:
         raise ConfigError("--seed must be nonnegative")
+    if config.top_tweets < 1 or config.top_terms < 1:
+        raise ConfigError("--top-tweets and --top-terms must be >= 1")
     if config.dims not in ("full", "plane"):
         raise ConfigError(f"--dims must be 'full' or 'plane', got {config.dims!r}")
     if subcommand == "drilldown" and config.campaign is None:
@@ -264,10 +266,9 @@ class _Pipeline:
                 )
             )
         self.artifacts.append(_write_csv(self.out / "impact.csv", rows))
-        rows = [("campaign", "distance_plane", "distance_full")]
-        for c in report.campaigns:
-            rows.append((c.campaign, _fmt(c.distance_plane), _fmt(c.distance_full)))
-        self.artifacts.append(_write_csv(self.out / "impact_curve.csv", rows))
+        self.artifacts.append(
+            _write_csv(self.out / "impact_curve.csv", [r[:3] for r in rows])
+        )
 
     def stage_drilldown(self):
         result = impact.drilldown(

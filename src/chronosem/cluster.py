@@ -10,6 +10,7 @@ constraint.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,82 +54,55 @@ def _validate_points(points) -> np.ndarray:
     return pts
 
 
-class _Agglomerator:
-    """Shared engine: clusters are intervals over 0..n-1; at each step the
-    lowest-dissimilarity adjacent unblocked pair is proposed (ties broken
-    toward the earliest pair)."""
+def _agglomerate(
+    dist: np.ndarray, gate: Callable[[range, range], bool] | None = None
+) -> tuple[list[Merge], dict, list[tuple[int, int]]]:
+    """Constrained complete-link agglomeration over a square distance matrix.
 
-    def __init__(self, points: np.ndarray):
-        self.n = len(points)
-        self.dist = squareform(pdist(points)) if self.n > 1 else np.zeros((1, 1))
-        # parallel arrays over active clusters, kept in sequence order
-        self.starts = list(range(self.n))
-        self.ends = list(range(self.n))
-        self.ids = list(range(self.n))
-        self.sizes = [1] * self.n
-        self.adj = [
-            float(self.dist[i, i + 1]) for i in range(self.n - 1)
-        ]  # complete-link dissimilarity between consecutive clusters
-        self.blocked: set[int] = set()  # boundary position = end of left cluster
-        self.next_id = self.n
-        self.merges: list[Merge] = []
-        self.intervals = {i: (i, i) for i in range(self.n)}
+    Clusters are intervals over 0..n-1.  Each step proposes the adjacent
+    pair with the lowest complete-link dissimilarity among the boundaries
+    not yet blocked; ``argmin`` returns the first minimum, so ties break
+    toward the earliest pair.  ``gate(left, right)`` receives the two
+    member ranges and returns True to merge or False to block that
+    boundary for good; without a gate every proposal merges.  Stops when
+    one cluster remains or every boundary is blocked.
 
-    def _boundary(self, pos: int) -> int:
-        """Sequence position of the boundary right of active cluster pos."""
-        return self.ends[pos]
-
-    def candidates(self):
-        for pos in range(len(self.adj)):
-            if self._boundary(pos) not in self.blocked:
-                yield pos
-
-    def best_pair(self) -> int | None:
-        best = None
-        best_d = np.inf
-        for pos in self.candidates():
-            if self.adj[pos] < best_d:
-                best_d = self.adj[pos]
-                best = pos
-        return best
-
-    def cluster_members(self, pos: int) -> range:
-        return range(self.starts[pos], self.ends[pos] + 1)
-
-    def _link(self, a_start, a_end, b_start, b_end) -> float:
-        return float(self.dist[a_start : a_end + 1, b_start : b_end + 1].max())
-
-    def merge_at(self, pos: int) -> Merge:
-        new_id = self.next_id
-        self.next_id += 1
-        merge = Merge(
-            left=self.ids[pos],
-            right=self.ids[pos + 1],
-            height=self.adj[pos],
-            size=self.sizes[pos] + self.sizes[pos + 1],
+    Returns the merges, the interval ``(start, end)`` of every cluster id
+    (leaves 0..n-1, internal n+step) and the surviving intervals in
+    sequence order.
+    """
+    n = len(dist)
+    starts = list(range(n))
+    ends = list(range(n))
+    ids = list(range(n))
+    adj = np.diagonal(dist, 1).copy()  # link between clusters pos and pos+1
+    blocked = np.zeros(len(adj), dtype=bool)
+    merges: list[Merge] = []
+    intervals = {i: (i, i) for i in range(n)}
+    while len(adj):
+        # distances are finite (see _validate_points), so inf only masks
+        pos = int(np.argmin(np.where(blocked, np.inf, adj)))
+        if blocked[pos]:
+            break
+        left = range(starts[pos], ends[pos] + 1)
+        right = range(starts[pos + 1], ends[pos + 1] + 1)
+        if gate is not None and not gate(left, right):
+            blocked[pos] = True
+            continue
+        merges.append(
+            Merge(ids[pos], ids[pos + 1], float(adj[pos]), len(left) + len(right))
         )
-        self.merges.append(merge)
-        self.ends[pos] = self.ends[pos + 1]
-        self.sizes[pos] = merge.size
-        self.ids[pos] = new_id
-        self.intervals[new_id] = (self.starts[pos], self.ends[pos])
-        del self.starts[pos + 1], self.ends[pos + 1], self.ids[pos + 1], self.sizes[pos + 1]
-        del self.adj[pos]
-        if pos - 1 >= 0:
-            self.adj[pos - 1] = self._link(
-                self.starts[pos - 1], self.ends[pos - 1], self.starts[pos], self.ends[pos]
-            )
-        if pos < len(self.adj):
-            self.adj[pos] = self._link(
-                self.starts[pos], self.ends[pos], self.starts[pos + 1], self.ends[pos + 1]
-            )
-        return merge
-
-    def block_at(self, pos: int):
-        self.blocked.add(self._boundary(pos))
-
-    def active_intervals(self) -> list[tuple[int, int]]:
-        return list(zip(self.starts, self.ends))
+        ends[pos] = ends[pos + 1]
+        ids[pos] = n + len(merges) - 1
+        intervals[ids[pos]] = (starts[pos], ends[pos])
+        del starts[pos + 1], ends[pos + 1], ids[pos + 1]
+        adj = np.delete(adj, pos)
+        blocked = np.delete(blocked, pos)
+        for k in (pos - 1, pos):  # the two links the merge changed
+            if 0 <= k < len(adj):
+                a, b = slice(starts[k], ends[k] + 1), slice(starts[k + 1], ends[k + 1] + 1)
+                adj[k] = dist[a, b].max()
+    return merges, intervals, list(zip(starts, ends))
 
 
 def cluster(points, ids: list[int] | None = None) -> Dendrogram:
@@ -151,14 +125,11 @@ def cluster(points, ids: list[int] | None = None) -> Dendrogram:
         raise DimensionMismatch("need at least 2 points to cluster")
     if ids is not None and len(ids) != n:
         raise DimensionMismatch("ids length does not match points")
-    eng = _Agglomerator(pts)
-    for _ in range(n - 1):
-        pos = eng.best_pair()
-        eng.merge_at(pos)
+    merges, intervals, _ = _agglomerate(squareform(pdist(pts)))
     return Dendrogram(
         leaves=list(ids) if ids is not None else list(range(n)),
-        merges=eng.merges,
-        intervals=eng.intervals,
+        merges=merges,
+        intervals=intervals,
     )
 
 

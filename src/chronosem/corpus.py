@@ -11,6 +11,7 @@ principal columns and per-campaign indicator columns are supplementary.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from collections import Counter
@@ -349,52 +350,81 @@ def merge_adjacent_initiating(docs: Sequence[Document]) -> list[Document]:
     return out
 
 
+def _read_records(path: Path):
+    """Yield (line number, record) from a UTF-8 CSV or JSON-lines file.
+
+    CSV rows must have as many fields as the header; a record spanning
+    several lines is numbered by its last line.
+    """
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+    if path.suffix.lower() in (".jsonl", ".ndjson", ".json"):
+        for line, raw in enumerate(io.StringIO(text, newline=None), start=1):
+            if not raw.strip():
+                continue
+            try:
+                yield line, json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"{path}:{line}: malformed JSON ({exc.msg})") from None
+    else:
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        for rec in reader:
+            if None in rec or None in rec.values():
+                raise CorpusFormatError(
+                    f"{path}:{reader.line_num}: row does not have the "
+                    f"{len(reader.fieldnames)} fields of the header"
+                )
+            yield reader.line_num, rec
+
+
+def _int_field(value) -> int:
+    """An integer written as such: rejects 1.0, 1.5 and booleans."""
+    return int(str(value))
+
+
 def load_corpus(path: str | Path) -> list[Document]:
     """Read a corpus from CSV or JSON-lines.
 
     Expected fields: ``seq_no``, ``text``, ``is_initiating`` (0/1) and
     ``campaign`` (int, may be empty).  Seq_nos must be strictly increasing.
+    Any record that breaks this layout raises :class:`CorpusFormatError`
+    naming ``path:line``.
     """
     path = Path(path)
-    records: list[dict] = []
-    if path.suffix.lower() in (".jsonl", ".ndjson", ".json"):
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-    else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            records = list(csv.DictReader(fh))
-    if not records:
-        raise CorpusFormatError(f"{path}: corpus file is empty")
-
     docs: list[Document] = []
     prev = None
-    for rec in records:
+    for line, rec in _read_records(path):
         try:
-            seq_no = int(rec["seq_no"])
-            text = str(rec["text"])
+            seq_no = _int_field(rec["seq_no"])
+            text = rec["text"]
+            if text is None:
+                raise ValueError("text is missing")
             init = str(rec.get("is_initiating", "0")).strip()
             camp = rec.get("campaign")
+            campaign = (
+                None if camp is None or str(camp).strip() == "" else _int_field(camp)
+            )
         except (KeyError, ValueError, TypeError) as exc:
-            raise CorpusFormatError(f"{path}: bad record {rec!r}: {exc}") from None
+            raise CorpusFormatError(f"{path}:{line}: bad record {rec!r}: {exc}") from None
         if prev is not None and seq_no <= prev:
             raise CorpusFormatError(
-                f"{path}: seq_no {seq_no} not strictly increasing"
+                f"{path}:{line}: seq_no {seq_no} not strictly increasing"
             )
         prev = seq_no
-        campaign = None
-        if camp is not None and str(camp).strip() != "":
-            campaign = int(camp)
         docs.append(
             Document(
                 seq_no=seq_no,
-                raw_text=text,
+                raw_text=str(text),
                 is_initiating=init in ("1", "true", "True"),
                 campaign=campaign,
             )
         )
+    if not docs:
+        raise CorpusFormatError(f"{path}: corpus file is empty")
     return docs
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from . import ca
-from .cluster import _Agglomerator, _validate_points
+from .cluster import _agglomerate, _validate_points
 from .errors import DimensionMismatch
 
 FUSE = "fuse"
@@ -149,9 +149,8 @@ def perm_test(
     union = np.vstack([a, b])
     if not np.all(np.isfinite(union)):
         raise DimensionMismatch("points contain non-finite coordinates")
-    dist_matrix = squareform(pdist(union)) if len(union) > 1 else np.zeros((1, 1))
     return _test_from_distances(
-        dist_matrix, len(a), config, np.random.SeedSequence(config.rng_seed)
+        squareform(pdist(union)), len(a), config, np.random.SeedSequence(config.rng_seed)
     )
 
 
@@ -170,51 +169,40 @@ def segment(
     """
     pts = _validate_points(points)
     n = len(pts)
-    if ids is None:
-        ids = list(range(n))
+    if n == 0:
+        raise DimensionMismatch("need at least 1 point to segment")
+    ids = list(range(n)) if ids is None else list(ids)
     if len(ids) != n:
         raise DimensionMismatch("ids length does not match points")
-    if n == 1:
-        return SegmentationResult(segments=[[ids[0]]], blocked=[], tests=[], config=config)
-
-    eng = _Agglomerator(pts)
+    dist = squareform(pdist(pts))
     tests: list[BoundaryTest] = []
-    blocked: list[BoundaryTest] = []
-    test_idx = 0
-    while True:
-        pos = eng.best_pair()
-        if pos is None:
-            break
-        left = eng.cluster_members(pos)
-        right = eng.cluster_members(pos + 1)
-        members = np.concatenate([np.asarray(left), np.asarray(right)])
-        dist_matrix = eng.dist[np.ix_(members, members)]
-        seed_seq = np.random.SeedSequence(
-            entropy=config.rng_seed, spawn_key=(test_idx,)
-        )
-        res = _test_from_distances(dist_matrix, len(left), config, seed_seq)
-        record = BoundaryTest(
-            left_span=(ids[left[0]], ids[left[-1]]),
-            right_span=(ids[right[0]], ids[right[-1]]),
-            boundary_after=ids[left[-1]],
-            h=res.h,
-            p=res.p,
-            decision=res.decision,
-            degenerate=res.degenerate,
-        )
-        tests.append(record)
-        test_idx += 1
-        if res.decision == FUSE:
-            eng.merge_at(pos)
-        else:
-            eng.block_at(pos)
-            blocked.append(record)
 
-    segments = [
-        [ids[i] for i in range(start, end + 1)]
-        for start, end in eng.active_intervals()
-    ]
-    return SegmentationResult(segments=segments, blocked=blocked, tests=tests, config=config)
+    def gate(left: range, right: range) -> bool:
+        seed_seq = np.random.SeedSequence(
+            entropy=config.rng_seed, spawn_key=(len(tests),)
+        )
+        union = slice(left.start, right.stop)
+        res = _test_from_distances(dist[union, union], len(left), config, seed_seq)
+        tests.append(
+            BoundaryTest(
+                left_span=(ids[left[0]], ids[left[-1]]),
+                right_span=(ids[right[0]], ids[right[-1]]),
+                boundary_after=ids[left[-1]],
+                h=res.h,
+                p=res.p,
+                decision=res.decision,
+                degenerate=res.degenerate,
+            )
+        )
+        return res.decision == FUSE
+
+    _, _, spans = _agglomerate(dist, gate)
+    return SegmentationResult(
+        segments=[ids[start : end + 1] for start, end in spans],
+        blocked=[t for t in tests if t.decision == BLOCK],
+        tests=tests,
+        config=config,
+    )
 
 
 @dataclass

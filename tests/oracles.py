@@ -85,25 +85,37 @@ def _complete_link(points, a_members, b_members):
     return best
 
 
-def constrained_complete_link_bruteforce(points):
+def constrained_complete_link_bruteforce(points, gate=None):
     """Step-by-step adjacent-pair agglomeration, recomputed from scratch.
 
     Returns a list of (left_members, right_members, height) per merge,
-    ties broken toward the earliest adjacent pair.
+    ties broken toward the earliest adjacent pair.  With
+    ``gate(left_members, right_members)``, a proposal the gate rejects
+    blocks that boundary for good (keyed by the last left member) and the
+    next-lowest unblocked pair is proposed; the loop stops once every
+    remaining boundary is blocked.
     """
     points = [list(map(float, p)) for p in np.atleast_2d(points)]
     clusters = [[i] for i in range(len(points))]
+    blocked = set()
     merges = []
-    while len(clusters) > 1:
+    while True:
         best_pos, best_d = None, None
         for pos in range(len(clusters) - 1):
+            if clusters[pos][-1] in blocked:
+                continue
             d = _complete_link(points, clusters[pos], clusters[pos + 1])
             if best_d is None or d < best_d:
                 best_pos, best_d = pos, d
-        merges.append((list(clusters[best_pos]), list(clusters[best_pos + 1]), best_d))
-        clusters[best_pos] = clusters[best_pos] + clusters[best_pos + 1]
+        if best_pos is None:
+            return merges
+        left, right = clusters[best_pos], clusters[best_pos + 1]
+        if gate is not None and not gate(list(left), list(right)):
+            blocked.add(left[-1])
+            continue
+        merges.append((list(left), list(right), best_d))
+        clusters[best_pos] = left + right
         del clusters[best_pos + 1]
-    return merges
 
 
 def exhaustive_perm_p(dist_matrix, n_a):

@@ -285,6 +285,12 @@ class TestSupplementary:
         assert np.array_equal(before[1], model.row_coords)
         assert np.array_equal(before[2], model.col_coords)
 
+    def test_model_arrays_are_read_only(self):
+        _, model = fit_ca(random_count_table(np.random.default_rng(15)))
+        for name in ("eigenvalues", "row_coords", "col_coords", "row_masses", "col_masses"):
+            with pytest.raises(ValueError):
+                getattr(model, name)[0] = 0.0
+
     def test_empty_profile_raises(self):
         _, model = fit_ca(DIAG)
         with pytest.raises(EmptyProfile):

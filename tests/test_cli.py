@@ -153,6 +153,33 @@ class TestErrors:
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "DegenerateSpread"
 
+    @pytest.mark.parametrize(
+        "name, content, line",
+        [
+            ("float_campaign.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,c d,0,1.0\n", 3),
+            ("malformed.jsonl", b'{"seq_no": 1, "text": "a b"}\n\n{"seq_no": 2, "text": \n', 3),
+            ("latin1.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,caf\xe9,0,1\n", 3),
+            ("short_row.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2\n", 3),
+        ],
+        ids=["float_campaign", "malformed_jsonl", "non_utf8", "short_row"],
+    )
+    def test_bad_corpus_record_exit_3_names_line(self, tmp_path, capsys, name, content, line):
+        corpus = tmp_path / name
+        corpus.write_bytes(content)
+        code = cli("ingest", "--input", corpus, "--out", tmp_path / "x")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CorpusFormatError"
+        assert f"{corpus}:{line}:" in err["message"]
+
+    @pytest.mark.parametrize("flag", ["--top-tweets", "--top-terms"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_top_list_sizes_must_be_positive(self, tmp_path, capsys, flag, value):
+        code = cli("drilldown", "--input", SYNTHETIC3, "--out", tmp_path / "x",
+                   "--campaign", 2, flag, value)
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
     def test_run_api_validates_subcommand(self, tmp_path):
         config = PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path / "o"))
         with pytest.raises(ConfigError):

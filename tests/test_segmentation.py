@@ -14,7 +14,11 @@ from chronosem import (
 from chronosem.errors import DimensionMismatch
 from chronosem.segmentation import SegmentationResult, _test_from_distances
 from helpers import docs_from_rows, synthetic_corpus_rows, three_blob_points
-from oracles import exhaustive_perm_p, weighted_mean_coords
+from oracles import (
+    constrained_complete_link_bruteforce,
+    exhaustive_perm_p,
+    weighted_mean_coords,
+)
 
 
 def far_groups(n_a=3, n_b=3, gap=100.0, seed=0):
@@ -148,6 +152,50 @@ class TestSegment:
         assert {b.boundary_after for b in res.blocked} == {4, 9}
         for b in res.blocked:
             assert b.p <= 0.15
+
+
+    def test_gated_proposals_match_bruteforce_oracle(self):
+        # the oracle re-proposes from scratch after every merge or block, so
+        # this checks the order of gated proposals, not only the outcome
+        from scipy.spatial.distance import pdist, squareform
+
+        rng = np.random.default_rng(31)
+        for trial in range(50):
+            n = int(rng.integers(1, 13))
+            # drifting clumps so that some boundaries block
+            pts = rng.standard_normal((n, 2)) + 3.0 * (np.arange(n) // 4)[:, None]
+            dist = squareform(pdist(pts))
+            for alpha in (0.15, 0.5):
+                cfg = PermTestConfig(alpha=alpha, n_permutations=200, rng_seed=trial)
+                expected = []
+
+                def gate(left, right):
+                    seed = np.random.SeedSequence(cfg.rng_seed, spawn_key=(len(expected),))
+                    members = left + right
+                    res = _test_from_distances(
+                        dist[np.ix_(members, members)], len(left), cfg, seed
+                    )
+                    expected.append(
+                        ((left[0], left[-1]), (right[0], right[-1]), res.h, res.p, res.decision)
+                    )
+                    return res.decision == "fuse"
+
+                constrained_complete_link_bruteforce(pts, gate)
+                res = segment(pts, cfg)
+                got = [(t.left_span, t.right_span, t.h, t.p, t.decision) for t in res.tests]
+                assert got == expected
+                blocked_after = [left[1] for left, *_, d in expected if d == "block"]
+                assert [b.boundary_after for b in res.blocked] == blocked_after
+                cuts = sorted(b + 1 for b in blocked_after)
+                assert res.segments == [
+                    list(range(lo, hi)) for lo, hi in zip([0] + cuts, cuts + [n])
+                ]
+
+    def test_one_point_is_one_segment(self):
+        res = segment(np.ones((1, 3)), PermTestConfig(rng_seed=0), ids=[7])
+        assert res.segments == [[7]] and res.tests == [] and res.blocked == []
+        with pytest.raises(DimensionMismatch):
+            segment(np.ones((0, 3)))
 
 
 class TestSegmentCentroids:
