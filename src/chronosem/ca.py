@@ -33,9 +33,6 @@ class ProbabilityTable:
     def shape(self) -> tuple[int, int]:
         return self.f.shape
 
-    def row_profile(self, i: int) -> np.ndarray:
-        return self.f[i] / self.row_masses[i]
-
 
 @dataclass(frozen=True)
 class CAModel:
@@ -180,16 +177,45 @@ def fit_ca(counts, tol: float | None = None) -> tuple[ProbabilityTable, CAModel]
     return table, decompose(table, tol=tol)
 
 
+def _contributions(masses: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    return masses[:, None] * coords**2
+
+
+def _cos2(coords: np.ndarray) -> np.ndarray:
+    sq = coords**2
+    denom = sq.sum(axis=1, keepdims=True)
+    out = np.zeros_like(sq)
+    nz = denom[:, 0] > 0
+    out[nz] = sq[nz] / denom[nz]
+    return out
+
+
+def _project(model: CAModel, profile, coords: np.ndarray, what: str) -> np.ndarray:
+    """Transition formula: the profile-weighted mean of ``coords`` (the
+    other cloud's principal coordinates) scaled by lambda_s^{-1/2}."""
+    w = np.asarray(profile, dtype=float).ravel()
+    if np.any(w < 0):
+        raise EmptyProfile(f"{what}: negative weights are not a profile")
+    total = w.sum()
+    if total <= 0:
+        raise EmptyProfile(f"{what}: all-zero profile")
+    if len(w) != len(coords):
+        raise EmptyProfile(
+            f"{what}: profile length {len(w)} != {len(coords)} principal points"
+        )
+    return (w / total @ coords) / np.sqrt(model.eigenvalues)
+
+
 def row_contributions(model: CAModel) -> np.ndarray:
     """Absolute contribution f_i F_s(i)^2 of each row to each factor.
 
     Columns sum to the corresponding eigenvalue.
     """
-    return model.row_masses[:, None] * model.row_coords**2
+    return _contributions(model.row_masses, model.row_coords)
 
 
 def col_contributions(model: CAModel) -> np.ndarray:
-    return model.col_masses[:, None] * model.col_coords**2
+    return _contributions(model.col_masses, model.col_coords)
 
 
 def row_correlations(model: CAModel) -> np.ndarray:
@@ -198,31 +224,11 @@ def row_correlations(model: CAModel) -> np.ndarray:
     Rows with zero profile deviation (points at the origin) get all-zero
     correlations; otherwise the values sum to 1 over the factors.
     """
-    sq = model.row_coords**2
-    denom = sq.sum(axis=1, keepdims=True)
-    out = np.zeros_like(sq)
-    nz = denom[:, 0] > 0
-    out[nz] = sq[nz] / denom[nz]
-    return out
+    return _cos2(model.row_coords)
 
 
 def col_correlations(model: CAModel) -> np.ndarray:
-    sq = model.col_coords**2
-    denom = sq.sum(axis=1, keepdims=True)
-    out = np.zeros_like(sq)
-    nz = denom[:, 0] > 0
-    out[nz] = sq[nz] / denom[nz]
-    return out
-
-
-def _as_profile(weights: np.ndarray, what: str) -> np.ndarray:
-    w = np.asarray(weights, dtype=float).ravel()
-    if np.any(w < 0):
-        raise EmptyProfile(f"{what}: negative weights are not a profile")
-    total = w.sum()
-    if total <= 0:
-        raise EmptyProfile(f"{what}: all-zero profile")
-    return w / total
+    return _cos2(model.col_coords)
 
 
 def project_supplementary_row(model: CAModel, profile) -> np.ndarray:
@@ -234,26 +240,22 @@ def project_supplementary_row(model: CAModel, profile) -> np.ndarray:
     reproduces its fitted coordinates, and the mean profile lands at the
     origin.
     """
-    h = _as_profile(profile, "supplementary row")
-    if len(h) != len(model.col_masses):
-        raise EmptyProfile(
-            f"profile length {len(h)} != {len(model.col_masses)} principal columns"
-        )
-    if model.n_factors == 0:
-        return np.zeros(0)
-    return (h @ model.col_coords) / np.sqrt(model.eigenvalues)
+    return _project(model, profile, model.col_coords, "supplementary row")
 
 
 def project_supplementary_col(model: CAModel, profile) -> np.ndarray:
     """Symmetric counterpart over the principal rows."""
-    h = _as_profile(profile, "supplementary column")
-    if len(h) != len(model.row_masses):
-        raise EmptyProfile(
-            f"profile length {len(h)} != {len(model.row_masses)} principal rows"
-        )
-    if model.n_factors == 0:
-        return np.zeros(0)
-    return (h @ model.row_coords) / np.sqrt(model.eigenvalues)
+    return _project(model, profile, model.row_coords, "supplementary column")
+
+
+def _cloud(ids: list | None, masses: np.ndarray, coords: np.ndarray) -> dict:
+    return {
+        "ids": list(ids) if ids is not None else list(range(len(masses))),
+        "masses": masses.tolist(),
+        "coords": coords.tolist(),
+        "contributions": _contributions(masses, coords).tolist(),
+        "cos2": _cos2(coords).tolist(),
+    }
 
 
 def model_export_dict(
@@ -270,18 +272,6 @@ def model_export_dict(
         "eigenvalues": model.eigenvalues.tolist(),
         "percent_inertia": pct.tolist(),
         "percent_inertia_display": [f"{v:.2f}" for v in pct],
-        "rows": {
-            "ids": list(row_ids) if row_ids is not None else list(range(len(model.row_masses))),
-            "masses": model.row_masses.tolist(),
-            "coords": model.row_coords.tolist(),
-            "contributions": row_contributions(model).tolist(),
-            "cos2": row_correlations(model).tolist(),
-        },
-        "cols": {
-            "ids": list(col_ids) if col_ids is not None else list(range(len(model.col_masses))),
-            "masses": model.col_masses.tolist(),
-            "coords": model.col_coords.tolist(),
-            "contributions": col_contributions(model).tolist(),
-            "cos2": col_correlations(model).tolist(),
-        },
+        "rows": _cloud(row_ids, model.row_masses, model.row_coords),
+        "cols": _cloud(col_ids, model.col_masses, model.col_coords),
     }

@@ -18,6 +18,7 @@ import json
 import platform
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,17 @@ from .cluster import cluster as build_dendrogram
 from .cluster import dendrogram_csv_rows, dendrogram_json_dict, to_newick
 from .errors import ChronosemError, ConfigError
 
-SUBCOMMANDS = ("ingest", "ca", "cluster", "segment", "impact", "drilldown", "all")
+SUBCOMMANDS = {
+    "ingest": "corpus -> thresholded matrix + vocabulary report",
+    "ca": "corpus -> factor model JSON/CSV",
+    "cluster": "corpus -> constrained dendrogram exports",
+    "segment": "corpus -> significant segments + segment factor map",
+    "impact": "corpus -> per-campaign impact report and curve data",
+    "drilldown": "corpus -> single-campaign factor space and top lists",
+    "all": "run the full chain",
+}
+# the stages `all` runs, in order
+CHAIN = ("ingest", "ca", "cluster", "segment", "impact")
 
 
 @dataclass
@@ -95,50 +106,45 @@ class _Pipeline:
         self.out = Path(config.out)
         self.out.mkdir(parents=True, exist_ok=True)
         self.artifacts: list[Path] = []
-        self._docs = None
-        self._vocab = None
-        self._tdm = None
-        self._model = None
-        self._coords = None  # clustering/segmentation coordinate view
 
     # -- stage data ------------------------------------------------------
+    @cached_property
     def docs(self):
-        if self._docs is None:
-            raw = corpus.load_corpus(self.config.input)
-            self._docs = corpus.merge_adjacent_initiating(raw)
-        return self._docs
+        return corpus.merge_adjacent_initiating(corpus.load_corpus(self.config.input))
 
+    @cached_property
+    def vocab(self):
+        stop = (
+            corpus.load_stopwords(self.config.stopwords)
+            if self.config.stopwords
+            else corpus.DEFAULT_STOPWORDS
+        )
+        return corpus.build_vocabulary(self.docs, corpus.TokenizerConfig(stopwords=stop))
+
+    @cached_property
     def tdm(self):
-        if self._tdm is None:
-            stop = (
-                corpus.load_stopwords(self.config.stopwords)
-                if self.config.stopwords
-                else corpus.DEFAULT_STOPWORDS
-            )
-            tok = corpus.TokenizerConfig(stopwords=stop)
-            self._vocab = corpus.build_vocabulary(self.docs(), tok)
-            self._tdm = corpus.threshold_matrix(
-                self.docs(),
-                self._vocab,
-                self.config.min_global_freq,
-                self.config.min_doc_count,
-            )
-        return self._tdm
+        return corpus.threshold_matrix(
+            self.docs, self.vocab, self.config.min_global_freq, self.config.min_doc_count
+        )
 
+    @cached_property
     def model(self):
-        if self._model is None:
-            _, self._model = ca.fit_ca(self.tdm().principal_counts())
-        return self._model
+        return ca.fit_ca(self.tdm.principal_counts())[1]
 
+    @cached_property
+    def seq(self) -> list[int]:
+        """Seq_nos of the principal rows, the ids of the clustered points."""
+        return [int(s) for s in self.tdm.principal_seq_nos()]
+
+    @cached_property
     def coords(self):
-        if self._coords is None:
-            full = self.model().row_coords
-            self._coords = full[:, :2] if self.config.dims == "plane" else full
-        return self._coords
+        """Clustering/segmentation coordinate view."""
+        full = self.model.row_coords
+        return full[:, :2] if self.config.dims == "plane" else full
 
     # -- stages ----------------------------------------------------------
     def stage_ingest(self):
-        tdm = self.tdm()
+        tdm, vocab = self.tdm, self.vocab
         rows = [("row", "col", "value")]
         rows += list(corpus.matrix_to_coo_rows(tdm))
         self.artifacts.append(_write_csv(self.out / "matrix.csv", rows))
@@ -147,38 +153,30 @@ class _Pipeline:
         )
         retained = set(tdm.terms)
         vocab_rows = [("term", "global_freq", "doc_count", "retained")]
-        for t in self._vocab.terms:
+        for t in vocab.terms:
             vocab_rows.append(
-                (t, self._vocab.global_freq[t], self._vocab.doc_count[t], int(t in retained))
+                (t, vocab.global_freq[t], vocab.doc_count[t], int(t in retained))
             )
         self.artifacts.append(_write_csv(self.out / "vocab.csv", vocab_rows))
 
     def stage_ca(self):
-        tdm = self.tdm()
-        model = self.model()
-        seq = [int(s) for s in tdm.principal_seq_nos()]
+        model, terms = self.model, self.tdm.terms
         self.artifacts.append(
             _write_json(
                 self.out / "model.json",
-                ca.model_export_dict(model, row_ids=seq, col_ids=tdm.terms),
+                ca.model_export_dict(model, row_ids=self.seq, col_ids=terms),
             )
         )
         header = ["id"] + [f"f{s + 1}" for s in range(model.n_factors)]
-        rows = [header] + [
-            [seq[i]] + [_fmt(v) for v in model.row_coords[i]]
-            for i in range(len(seq))
-        ]
-        self.artifacts.append(_write_csv(self.out / "model_rows.csv", rows))
-        rows = [header] + [
-            [tdm.terms[j]] + [_fmt(v) for v in model.col_coords[j]]
-            for j in range(len(tdm.terms))
-        ]
-        self.artifacts.append(_write_csv(self.out / "model_cols.csv", rows))
+        for name, ids, coords in (
+            ("model_rows.csv", self.seq, model.row_coords),
+            ("model_cols.csv", terms, model.col_coords),
+        ):
+            rows = [header] + [[i] + [_fmt(v) for v in c] for i, c in zip(ids, coords)]
+            self.artifacts.append(_write_csv(self.out / name, rows))
 
     def stage_cluster(self):
-        tdm = self.tdm()
-        seq = [int(s) for s in tdm.principal_seq_nos()]
-        dendro = build_dendrogram(self.coords(), ids=seq)
+        dendro = build_dendrogram(self.coords, ids=self.seq)
         self.artifacts.append(
             _write_json(self.out / "dendrogram.json", dendrogram_json_dict(dendro))
         )
@@ -190,24 +188,17 @@ class _Pipeline:
         )
 
     def stage_segment(self):
-        tdm = self.tdm()
-        seq = [int(s) for s in tdm.principal_seq_nos()]
         config = segmentation.PermTestConfig(
             alpha=self.config.alpha,
             n_permutations=self.config.n_permutations,
             rng_seed=self.config.rng_seed,
         )
-        result = segmentation.segment(self.coords(), config, ids=seq)
+        result = segmentation.segment(self.coords, config, ids=self.seq)
         fmap = segmentation.segment_centroids_as_supplementary(
-            result, tdm.principal_counts()
+            result, self.tdm.principal_counts()
         )
         payload = {
-            "config": {
-                "alpha": config.alpha,
-                "n_permutations": config.n_permutations,
-                "rng_seed": config.rng_seed,
-                "dims": self.config.dims,
-            },
+            "config": {**dataclasses.asdict(config), "dims": self.config.dims},
             "n_segments": result.n_segments,
             "segments": [
                 {
@@ -236,9 +227,7 @@ class _Pipeline:
             )
         ]
         for k, seg in enumerate(result.segments):
-            c = fmap.coords[k]
-            f1 = c[0] if len(c) > 0 else 0.0
-            f2 = c[1] if len(c) > 1 else 0.0
+            f1, f2 = (list(fmap.coords[k]) + [0.0, 0.0])[:2]
             rows.append(
                 (
                     k + 1, seg[0], seg[-1], len(seg), int(len(seg) == 1),
@@ -249,7 +238,7 @@ class _Pipeline:
         self.artifacts.append(_write_csv(self.out / "segments.csv", rows))
 
     def stage_impact(self):
-        report = impact.build_impact_report(self.tdm(), self.model())
+        report = impact.build_impact_report(self.tdm, self.model)
         self.artifacts.append(_write_json(self.out / "impact.json", report.to_dict()))
         rows = [
             (
@@ -272,7 +261,7 @@ class _Pipeline:
 
     def stage_drilldown(self):
         result = impact.drilldown(
-            self.tdm(),
+            self.tdm,
             self.config.campaign,
             top_tweets=self.config.top_tweets,
             top_terms=self.config.top_terms,
@@ -287,23 +276,15 @@ class _Pipeline:
             "top_terms": result.top_terms,
         }
         self.artifacts.append(_write_json(self.out / "drilldown.json", payload))
-        rows = [("seq_no", "plane_contribution_percent", "f1", "f2")]
-        for t in result.top_tweets:
-            coords = t["coords"] + [0.0] * (2 - len(t["coords"]))
-            rows.append(
-                (
-                    t["seq_no"], _fmt(t["plane_contribution_percent"]),
-                    _fmt(coords[0]), _fmt(coords[1]),
-                )
-            )
-        self.artifacts.append(_write_csv(self.out / "drilldown_tweets.csv", rows))
-        rows = [("term", "plane_magnitude", "f1", "f2")]
-        for t in result.top_terms:
-            coords = t["coords"] + [0.0] * (2 - len(t["coords"]))
-            rows.append(
-                (t["term"], _fmt(t["plane_magnitude"]), _fmt(coords[0]), _fmt(coords[1]))
-            )
-        self.artifacts.append(_write_csv(self.out / "drilldown_terms.csv", rows))
+        for name, top, key, score in (
+            ("drilldown_tweets.csv", result.top_tweets, "seq_no", "plane_contribution_percent"),
+            ("drilldown_terms.csv", result.top_terms, "term", "plane_magnitude"),
+        ):
+            rows = [(key, score, "f1", "f2")]
+            for t in top:
+                f1, f2 = (t["coords"] + [0.0, 0.0])[:2]
+                rows.append((t[key], _fmt(t[score]), _fmt(f1), _fmt(f2)))
+            self.artifacts.append(_write_csv(self.out / name, rows))
 
     def write_manifest(self, subcommand: str) -> Path:
         entries = []
@@ -331,23 +312,8 @@ def run(subcommand: str, config: PipelineConfig) -> list[Path]:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     _validate(config, subcommand)
     pipe = _Pipeline(config)
-    stages = {
-        "ingest": [pipe.stage_ingest],
-        "ca": [pipe.stage_ca],
-        "cluster": [pipe.stage_cluster],
-        "segment": [pipe.stage_segment],
-        "impact": [pipe.stage_impact],
-        "drilldown": [pipe.stage_drilldown],
-        "all": [
-            pipe.stage_ingest,
-            pipe.stage_ca,
-            pipe.stage_cluster,
-            pipe.stage_segment,
-            pipe.stage_impact,
-        ],
-    }[subcommand]
-    for stage in stages:
-        stage()
+    for stage in CHAIN if subcommand == "all" else (subcommand,):
+        getattr(pipe, f"stage_{stage}")()
     manifest = pipe.write_manifest(subcommand)
     return pipe.artifacts + [manifest]
 
@@ -361,38 +327,31 @@ def _build_parser() -> argparse.ArgumentParser:
             "of initiating documents."
         ),
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--input", required=True, help="corpus CSV or JSON-lines file")
+    common.add_argument("--out", required=True, help="output directory")
+    common.add_argument("--stopwords", default=None, help="stopword file, one term per line")
+    common.add_argument("--min-freq", type=int, default=5, dest="min_global_freq",
+                        help="minimum global term frequency (default 5)")
+    common.add_argument("--min-docs", type=int, default=5, dest="min_doc_count",
+                        help="minimum number of documents per term (default 5)")
+    common.add_argument("--alpha", type=float, default=0.15,
+                        help="significance level for segment gating (default 0.15)")
+    common.add_argument("--permutations", type=int, default=5000, dest="n_permutations",
+                        help="Monte Carlo permutations per gate (default 5000)")
+    common.add_argument("--seed", type=int, default=0, dest="rng_seed",
+                        help="seed for all randomness (default 0)")
+    common.add_argument("--campaign", type=int, default=None,
+                        help="campaign id (required for drilldown)")
+    common.add_argument("--top-tweets", type=int, default=10, dest="top_tweets",
+                        help="documents to label in drilldown (default 10)")
+    common.add_argument("--top-terms", type=int, default=15, dest="top_terms",
+                        help="terms to label in drilldown (default 15)")
+    common.add_argument("--dims", choices=("full", "plane"), default="full",
+                        help="coordinate space for clustering/segmentation")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("ingest", "corpus -> thresholded matrix + vocabulary report"),
-        ("ca", "corpus -> factor model JSON/CSV"),
-        ("cluster", "corpus -> constrained dendrogram exports"),
-        ("segment", "corpus -> significant segments + segment factor map"),
-        ("impact", "corpus -> per-campaign impact report and curve data"),
-        ("drilldown", "corpus -> single-campaign factor space and top lists"),
-        ("all", "run the full chain"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, help="corpus CSV or JSON-lines file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--stopwords", default=None, help="stopword file, one term per line")
-        p.add_argument("--min-freq", type=int, default=5, dest="min_global_freq",
-                       help="minimum global term frequency (default 5)")
-        p.add_argument("--min-docs", type=int, default=5, dest="min_doc_count",
-                       help="minimum number of documents per term (default 5)")
-        p.add_argument("--alpha", type=float, default=0.15,
-                       help="significance level for segment gating (default 0.15)")
-        p.add_argument("--permutations", type=int, default=5000, dest="n_permutations",
-                       help="Monte Carlo permutations per gate (default 5000)")
-        p.add_argument("--seed", type=int, default=0, dest="rng_seed",
-                       help="seed for all randomness (default 0)")
-        p.add_argument("--campaign", type=int, default=None,
-                       help="campaign id (required for drilldown)")
-        p.add_argument("--top-tweets", type=int, default=10, dest="top_tweets",
-                       help="documents to label in drilldown (default 10)")
-        p.add_argument("--top-terms", type=int, default=15, dest="top_terms",
-                       help="terms to label in drilldown (default 15)")
-        p.add_argument("--dims", choices=("full", "plane"), default="full",
-                       help="coordinate space for clustering/segmentation")
+    for name, help_text in SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 

@@ -15,7 +15,7 @@ import io
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -103,37 +103,40 @@ def tokenize(raw_text: str, config: TokenizerConfig = TokenizerConfig()) -> list
 class Vocabulary:
     """Distinct post-tokenization terms with usage counts.
 
-    ``terms`` preserves first-appearance order; ``global_freq`` counts every
+    ``terms`` preserves first-appearance order; ``counts`` is the
+    documents x terms count matrix (one row per document, in corpus order,
+    one column per entry of ``terms``); ``global_freq`` counts every
     occurrence, ``doc_count`` counts documents containing the term at least
-    once.  The tokenizer config is kept so downstream matrix construction
-    re-tokenizes identically.
+    once.
     """
 
     terms: list[str]
     global_freq: dict[str, int]
     doc_count: dict[str, int]
-    config: TokenizerConfig = field(default_factory=TokenizerConfig)
+    counts: sp.csr_matrix
 
 
 def build_vocabulary(
     docs: Sequence[Document], tokenizer: TokenizerConfig = TokenizerConfig()
 ) -> Vocabulary:
-    """Collect all distinct terms with global and per-document counts."""
+    """Tokenize each document once into the documents x terms count matrix
+    and derive the global and per-document counts from it."""
     if not docs:
         raise CorpusFormatError("cannot build a vocabulary from zero documents")
-    terms: list[str] = []
-    global_freq: dict[str, int] = {}
-    doc_count: dict[str, int] = {}
+    index: dict[str, int] = {}
+    cols, vals, indptr = [], [], [0]
     for doc in docs:
-        counts = Counter(tokenize(doc.raw_text, tokenizer))
-        for term, n in counts.items():
-            if term not in global_freq:
-                terms.append(term)
-                global_freq[term] = 0
-                doc_count[term] = 0
-            global_freq[term] += n
-            doc_count[term] += 1
-    return Vocabulary(terms, global_freq, doc_count, tokenizer)
+        for term, n in Counter(tokenize(doc.raw_text, tokenizer)).items():
+            cols.append(index.setdefault(term, len(index)))
+            vals.append(n)
+        indptr.append(len(cols))
+    counts = sp.csr_matrix(
+        (vals, cols, indptr), shape=(len(docs), len(index)), dtype=np.int64
+    )
+    terms = list(index)
+    freq = np.asarray(counts.sum(axis=0)).ravel().tolist()
+    ndocs = np.bincount(counts.indices, minlength=len(terms)).tolist()
+    return Vocabulary(terms, dict(zip(terms, freq)), dict(zip(terms, ndocs)), counts)
 
 
 @dataclass
@@ -187,9 +190,6 @@ class TermDocMatrix:
             )
         return out
 
-    def col_roles(self) -> list[str]:
-        return ["term"] * self.n_terms + ["campaign"] * len(self.campaign_ids)
-
 
 def threshold_matrix(
     docs: Sequence[Document],
@@ -203,35 +203,27 @@ def threshold_matrix(
     ``doc_count >= min_doc_count`` (counted over all documents).  Documents
     left with an all-zero row are dropped and recorded.  Initiating
     documents become supplementary rows; everything else is principal.
+    ``vocab`` must come from :func:`build_vocabulary` on the same ``docs``.
     Raises :class:`AllDocumentsEmpty` when no principal document survives.
     """
     if min_global_freq < 1 or min_doc_count < 1:
         raise CorpusFormatError("thresholds must be >= 1")
-    retained = [
-        t
-        for t in vocab.terms
-        if vocab.global_freq[t] >= min_global_freq
-        and vocab.doc_count[t] >= min_doc_count
-    ]
-    term_index = {t: j for j, t in enumerate(retained)}
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[int] = []
-    kept_docs: list[Document] = []
-    dropped: list[int] = []
-    for doc in docs:
-        counts = Counter(tokenize(doc.raw_text, vocab.config))
-        entries = [(term_index[t], n) for t, n in counts.items() if t in term_index]
-        if not entries:
-            dropped.append(doc.seq_no)
-            continue
-        r = len(kept_docs)
-        kept_docs.append(doc)
-        for j, n in entries:
-            rows.append(r)
-            cols.append(j)
-            vals.append(n)
+    if vocab.counts.shape[0] != len(docs):
+        raise CorpusFormatError(
+            f"vocabulary counts {vocab.counts.shape[0]} documents, "
+            f"not the {len(docs)} given"
+        )
+    freq, ndocs = vocab.global_freq, vocab.doc_count
+    keep = np.array(
+        [freq[t] >= min_global_freq and ndocs[t] >= min_doc_count for t in vocab.terms],
+        dtype=bool,
+    )
+    retained = [t for t, k in zip(vocab.terms, keep) if k]
+    term_block = vocab.counts[:, keep]
+    nonempty = np.diff(term_block.indptr) > 0
+    term_block = term_block[nonempty]
+    kept_docs = [d for d, k in zip(docs, nonempty) if k]
+    dropped = [d.seq_no for d, k in zip(docs, nonempty) if not k]
 
     supp = np.array([d.is_initiating for d in kept_docs], dtype=bool)
     if not kept_docs or not np.any(~supp):
@@ -239,10 +231,6 @@ def threshold_matrix(
             "no principal document survives thresholding "
             f"(min_global_freq={min_global_freq}, min_doc_count={min_doc_count})"
         )
-
-    term_block = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(kept_docs), len(retained)), dtype=np.int64
-    )
 
     # A term whose every occurrence sits in supplementary rows would leave a
     # zero column in the analyzed block; drop it so downstream margins stay
@@ -386,11 +374,26 @@ def _int_field(value) -> int:
     return int(str(value))
 
 
+_FLAGS = {
+    "1": True, "true": True, "True": True,
+    "0": False, "false": False, "False": False, "": False,
+}
+
+
+def _flag_field(value) -> bool:
+    """0/1/true/false/True/False; empty or null means false."""
+    text = "" if value is None else str(value).strip()
+    if text not in _FLAGS:
+        raise ValueError(f"is_initiating {value!r} is not one of 0, 1, true, false")
+    return _FLAGS[text]
+
+
 def load_corpus(path: str | Path) -> list[Document]:
     """Read a corpus from CSV or JSON-lines.
 
-    Expected fields: ``seq_no``, ``text``, ``is_initiating`` (0/1) and
-    ``campaign`` (int, may be empty).  Seq_nos must be strictly increasing.
+    Expected fields: ``seq_no``, ``text``, ``is_initiating`` (0/1/true/false,
+    empty means false) and ``campaign`` (int, may be empty; required when
+    ``is_initiating`` is set).  Seq_nos must be strictly increasing.
     Any record that breaks this layout raises :class:`CorpusFormatError`
     naming ``path:line``.
     """
@@ -403,11 +406,13 @@ def load_corpus(path: str | Path) -> list[Document]:
             text = rec["text"]
             if text is None:
                 raise ValueError("text is missing")
-            init = str(rec.get("is_initiating", "0")).strip()
+            init = _flag_field(rec.get("is_initiating"))
             camp = rec.get("campaign")
             campaign = (
                 None if camp is None or str(camp).strip() == "" else _int_field(camp)
             )
+            if init and campaign is None:
+                raise ValueError("initiating documents need a campaign id")
         except (KeyError, ValueError, TypeError) as exc:
             raise CorpusFormatError(f"{path}:{line}: bad record {rec!r}: {exc}") from None
         if prev is not None and seq_no <= prev:
@@ -419,7 +424,7 @@ def load_corpus(path: str | Path) -> list[Document]:
             Document(
                 seq_no=seq_no,
                 raw_text=str(text),
-                is_initiating=init in ("1", "true", "True"),
+                is_initiating=init,
                 campaign=campaign,
             )
         )

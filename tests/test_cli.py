@@ -160,8 +160,14 @@ class TestErrors:
             ("malformed.jsonl", b'{"seq_no": 1, "text": "a b"}\n\n{"seq_no": 2, "text": \n', 3),
             ("latin1.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,caf\xe9,0,1\n", 3),
             ("short_row.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2\n", 3),
+            ("yes_flag.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,c d,yes,1\n", 3),
+            ("two_flag.jsonl", b'{"seq_no": 1, "text": "a b", "is_initiating": 2}\n', 1),
+            ("no_campaign.csv", b"seq_no,text,is_initiating,campaign\n1,alpha beta,1,\n", 2),
         ],
-        ids=["float_campaign", "malformed_jsonl", "non_utf8", "short_row"],
+        ids=[
+            "float_campaign", "malformed_jsonl", "non_utf8", "short_row",
+            "yes_initiating", "numeric_initiating", "initiating_without_campaign",
+        ],
     )
     def test_bad_corpus_record_exit_3_names_line(self, tmp_path, capsys, name, content, line):
         corpus = tmp_path / name

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from chronosem import (
     threshold_matrix,
     tokenize,
 )
+from chronosem import corpus
 from chronosem.corpus import matrix_roles_dict, matrix_to_coo_rows
 from chronosem.errors import (
     AllDocumentsEmpty,
@@ -209,6 +211,33 @@ class TestThreshold:
         with pytest.raises(AllDocumentsEmpty):
             threshold_matrix(docs, vocab, 5, 5)
 
+    def test_each_document_tokenized_once(self, monkeypatch):
+        calls = []
+
+        def counting(raw_text, config=TokenizerConfig()):
+            calls.append(raw_text)
+            return tokenize(raw_text, config)
+
+        monkeypatch.setattr(corpus, "tokenize", counting)
+        docs = docs_from_rows(synthetic_corpus_rows(docs_per_campaign=8))
+        threshold_matrix(docs, build_vocabulary(docs), 3, 3)
+        assert calls == [d.raw_text for d in docs]
+
+    def test_term_block_matches_tokenizer_counts(self):
+        docs = docs_from_rows(synthetic_corpus_rows(docs_per_campaign=8))
+        for cfg, thresholds in ((TokenizerConfig(), (3, 3)), (NO_STOPWORDS, (2, 4))):
+            tdm = threshold_matrix(docs, build_vocabulary(docs, cfg), *thresholds)
+            by_seq = {d.seq_no: Counter(tokenize(d.raw_text, cfg)) for d in docs}
+            expected = [[by_seq[int(s)][t] for t in tdm.terms] for s in tdm.seq_nos]
+            got = tdm.counts[:, : tdm.n_terms].toarray()
+            assert got.tolist() == expected
+
+    def test_rejects_vocabulary_of_other_documents(self):
+        docs = self._docs()
+        vocab = build_vocabulary(docs[:3], NO_STOPWORDS)
+        with pytest.raises(CorpusFormatError, match="vocabulary"):
+            threshold_matrix(docs, vocab, 1, 1)
+
 
 class TestMergeInitiating:
     def _docs(self):
@@ -276,6 +305,26 @@ class TestCorpusIO:
     def test_initiating_requires_campaign(self):
         with pytest.raises(CorpusFormatError):
             Document(1, "text", is_initiating=True, campaign=None)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("0", False), ("1", True), ("true", True), ("false", False),
+         ("True", True), ("False", False), ("", False)],
+    )
+    def test_csv_initiating_spellings(self, tmp_path, value, expected):
+        path = tmp_path / "corpus.csv"
+        path.write_text(f"seq_no,text,is_initiating,campaign\n1,alpha beta,{value},1\n")
+        assert load_corpus(path)[0].is_initiating is expected
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [({"is_initiating": True}, True), ({"is_initiating": False}, False),
+         ({"is_initiating": 1}, True), ({"is_initiating": None}, False), ({}, False)],
+    )
+    def test_jsonl_initiating_values(self, tmp_path, extra, expected):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"seq_no": 1, "text": "alpha", "campaign": 1, **extra}))
+        assert load_corpus(path)[0].is_initiating is expected
 
     def test_stopword_file(self, tmp_path):
         path = tmp_path / "stop.txt"
