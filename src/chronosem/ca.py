@@ -140,6 +140,8 @@ def decompose(table: ProbabilityTable, tol: float | None = None) -> CAModel:
         u, sing, vt = np.linalg.svd(z, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD failed: {exc}") from exc
+    if not all(np.isfinite(a).all() for a in (u, sing, vt)):
+        raise ConvergenceError("SVD returned a non-finite value")
 
     n, p = table.shape
     max_rank = max(min(n - 1, p - 1), 0)
@@ -251,10 +253,10 @@ def project_supplementary_col(model: CAModel, profile) -> np.ndarray:
 def _cloud(ids: list | None, masses: np.ndarray, coords: np.ndarray) -> dict:
     return {
         "ids": list(ids) if ids is not None else list(range(len(masses))),
-        "masses": masses.tolist(),
-        "coords": coords.tolist(),
-        "contributions": _contributions(masses, coords).tolist(),
-        "cos2": _cos2(coords).tolist(),
+        "masses": masses,
+        "coords": coords,
+        "contributions": _contributions(masses, coords),
+        "cos2": _cos2(coords),
     }
 
 
@@ -263,14 +265,18 @@ def model_export_dict(
     row_ids: list | None = None,
     col_ids: list | None = None,
 ) -> dict:
-    """JSON-ready summary: eigenvalues, inertia shares, coordinates,
-    contributions and squared cosines for rows and columns."""
+    """Summary for ``model.json``: eigenvalues, inertia shares, coordinates,
+    contributions and squared cosines for rows and columns.
+
+    Numeric leaves are ndarrays, so a writer can turn one leaf at a time
+    into JSON (``.tolist()`` then ``json.dumps``); the rest is JSON-ready.
+    """
     pct = model.percent_inertia
     return {
         "n_factors": model.n_factors,
         "total_inertia": model.total_inertia,
-        "eigenvalues": model.eigenvalues.tolist(),
-        "percent_inertia": pct.tolist(),
+        "eigenvalues": model.eigenvalues,
+        "percent_inertia": pct,
         "percent_inertia_display": [f"{v:.2f}" for v in pct],
         "rows": _cloud(row_ids, model.row_masses, model.row_coords),
         "cols": _cloud(col_ids, model.col_masses, model.col_coords),

@@ -18,7 +18,7 @@ import json
 import platform
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +59,10 @@ class PipelineConfig:
 
 
 def _validate(config: PipelineConfig, subcommand: str):
-    if not Path(config.input).exists():
-        raise ConfigError(f"input file not found: {config.input}")
-    if config.stopwords is not None and not Path(config.stopwords).exists():
-        raise ConfigError(f"stopword file not found: {config.stopwords}")
+    if not Path(config.input).is_file():
+        raise ConfigError(f"input is not an existing file: {config.input}")
+    if config.stopwords is not None and not Path(config.stopwords).is_file():
+        raise ConfigError(f"stopword list is not an existing file: {config.stopwords}")
     if config.min_global_freq < 1 or config.min_doc_count < 1:
         raise ConfigError("thresholds --min-freq and --min-docs must be >= 1")
     if not 0.0 < config.alpha < 1.0:
@@ -96,6 +96,43 @@ def _write_csv(path: Path, rows) -> Path:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _dump_leaves(fh, obj, leaf_writers: dict, path: tuple = ()) -> None:
+    """Write ``json.dumps(obj, sort_keys=True)`` to ``fh`` one leaf at a time.
+
+    Dicts are written key by key in sorted order.  Any other value is a
+    leaf: ``leaf_writers[path]`` writes it when its key path is listed,
+    otherwise the C encoder renders it (an ndarray after ``.tolist()``).
+    Floats must be finite, as ``repr`` and JSON differ on NaN and inf.
+    """
+    if isinstance(obj, dict):
+        fh.write("{")
+        for k, key in enumerate(sorted(obj)):
+            fh.write(f"{', ' if k else ''}{json.dumps(key)}: ")
+            _dump_leaves(fh, obj[key], leaf_writers, path + (key,))
+        fh.write("}")
+    elif path in leaf_writers:
+        leaf_writers[path](fh)
+    else:
+        fh.write(json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj))
+
+
+def _write_coords(csv_path: Path, header: str, ids, coords: np.ndarray, fh) -> None:
+    """Format each coordinate once: write the rows to ``csv_path`` after
+    their id and, as a JSON list of lists, to ``fh``.
+
+    The ids are ints or alphabetic terms and the cells are float reprs, so
+    no CSV cell needs quoting.
+    """
+    with open(csv_path, "w", newline="", encoding="utf-8") as out:
+        out.write(header)
+        fh.write("[")
+        for k, (i, row) in enumerate(zip(ids, coords.tolist())):
+            cells = list(map(repr, row))
+            out.write(",".join([str(i), *cells]) + "\n")
+            fh.write(f"{', ' if k else ''}[{', '.join(cells)}]")
+        fh.write("]")
 
 
 class _Pipeline:
@@ -160,20 +197,20 @@ class _Pipeline:
         self.artifacts.append(_write_csv(self.out / "vocab.csv", vocab_rows))
 
     def stage_ca(self):
-        model, terms = self.model, self.tdm.terms
-        self.artifacts.append(
-            _write_json(
-                self.out / "model.json",
-                ca.model_export_dict(model, row_ids=self.seq, col_ids=terms),
+        model = self.model
+        export = ca.model_export_dict(model, row_ids=self.seq, col_ids=self.tdm.terms)
+        header = ",".join(["id"] + [f"f{s + 1}" for s in range(model.n_factors)]) + "\n"
+        paths = {c: self.out / f"model_{c}.csv" for c in ("rows", "cols")}
+        leaf_writers = {
+            (c, "coords"): partial(
+                _write_coords, path, header, export[c]["ids"], export[c]["coords"]
             )
-        )
-        header = ["id"] + [f"f{s + 1}" for s in range(model.n_factors)]
-        for name, ids, coords in (
-            ("model_rows.csv", self.seq, model.row_coords),
-            ("model_cols.csv", terms, model.col_coords),
-        ):
-            rows = [header] + [[i] + [_fmt(v) for v in c] for i, c in zip(ids, coords)]
-            self.artifacts.append(_write_csv(self.out / name, rows))
+            for c, path in paths.items()
+        }
+        with open(self.out / "model.json", "w", encoding="utf-8") as fh:
+            _dump_leaves(fh, export, leaf_writers)
+            fh.write("\n")
+        self.artifacts += [self.out / "model.json", *paths.values()]
 
     def stage_cluster(self):
         dendro = build_dendrogram(self.coords, ids=self.seq)

@@ -338,18 +338,24 @@ def merge_adjacent_initiating(docs: Sequence[Document]) -> list[Document]:
     return out
 
 
+def _read_text(path: Path) -> str:
+    """The file's text; a byte sequence that is not UTF-8 raises
+    :class:`CorpusFormatError` naming ``path:line``."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+
+
 def _read_records(path: Path):
     """Yield (line number, record) from a UTF-8 CSV or JSON-lines file.
 
     CSV rows must have as many fields as the header; a record spanning
     several lines is numbered by its last line.
     """
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise CorpusFormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+    text = _read_text(path)
     if path.suffix.lower() in (".jsonl", ".ndjson", ".json"):
         for line, raw in enumerate(io.StringIO(text, newline=None), start=1):
             if not raw.strip():
@@ -434,9 +440,10 @@ def load_corpus(path: str | Path) -> list[Document]:
 
 
 def load_stopwords(path: str | Path) -> frozenset:
-    """One term per line; blank lines ignored."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
+    """One term per line; blank lines ignored.  The file must be UTF-8
+    (:class:`CorpusFormatError` naming ``path:line`` otherwise)."""
+    lines = io.StringIO(_read_text(Path(path)), newline=None)
+    return frozenset(line.strip() for line in lines if line.strip())
 
 
 def matrix_to_coo_rows(tdm: TermDocMatrix) -> Iterable[tuple[int, int, int]]:

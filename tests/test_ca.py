@@ -16,7 +16,7 @@ from chronosem import (
     total_inertia,
 )
 from chronosem.ca import model_export_dict
-from chronosem.errors import EmptyProfile, ZeroMarginError
+from chronosem.errors import ConvergenceError, EmptyProfile, ZeroMarginError
 from helpers import docs_from_rows, random_count_table, synthetic_corpus_rows
 from oracles import (
     chi2_distance_direct,
@@ -167,6 +167,21 @@ class TestDecompose:
             for s in range(model.n_factors):
                 assert abs(np.sum(model.row_masses * model.row_coords[:, s])) < 1e-10
                 assert abs(np.sum(model.col_masses * model.col_coords[:, s])) < 1e-10
+
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    def test_non_finite_svd_raises(self, monkeypatch, part):
+        # the artifact writers format floats with repr, which matches JSON
+        # only for finite values, so a NaN or inf must stop the fit
+        svd = np.linalg.svd
+
+        def poisoned(*args, **kwargs):
+            out = [np.array(a) for a in svd(*args, **kwargs)]
+            out[part].flat[-1] = np.nan if part != 1 else np.inf
+            return tuple(out)
+
+        monkeypatch.setattr(np.linalg, "svd", poisoned)
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            decompose(normalize(DIAG))
 
     def test_distance_invariance_random_6x4(self):
         rng = np.random.default_rng(7)

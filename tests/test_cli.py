@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from chronosem.cli import PipelineConfig, main, run
@@ -185,6 +186,42 @@ class TestErrors:
                    "--campaign", 2, flag, value)
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("flag", ["--input", "--stopwords"])
+    def test_directory_path_exit_2(self, tmp_path, capsys, flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        if flag == "--input":
+            argv = ["--input", folder]
+        else:
+            argv = ["--input", SYNTHETIC3, "--stopwords", folder]
+        code = cli("ingest", *argv, "--out", tmp_path / "x")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["path"] == str(folder)
+
+    def test_non_utf8_stopwords_exit_3_names_path(self, tmp_path, capsys):
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"garden\ncaf\xe9\n")
+        code = cli("ingest", "--input", SYNTHETIC3, "--out", tmp_path / "x",
+                   "--stopwords", stop)
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CorpusFormatError"
+        assert f"{stop}:2:" in err["message"]
+
+    def test_non_finite_svd_exit_4(self, tmp_path, capsys, monkeypatch):
+        svd = np.linalg.svd
+
+        def poisoned(*args, **kwargs):
+            u, s, vt = svd(*args, **kwargs)
+            return u * np.nan, s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", poisoned)
+        code = cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "x")
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceError"
 
     def test_run_api_validates_subcommand(self, tmp_path):
         config = PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path / "o"))
