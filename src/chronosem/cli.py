@@ -26,7 +26,7 @@ import scipy
 
 from . import __version__, ca, corpus, impact, segmentation
 from .cluster import cluster as build_dendrogram
-from .cluster import dendrogram_csv_rows, dendrogram_json_dict, to_newick
+from .cluster import dendrogram_csv_rows, dendrogram_json_dict, distance_matrix, to_newick
 from .errors import ChronosemError, ConfigError
 
 SUBCOMMANDS = {
@@ -96,6 +96,18 @@ def _write_csv(path: Path, rows) -> Path:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+_HASH_BLOCK = 1 << 20
+
+
+def _sha256(path: Path) -> str:
+    """Hex digest of a file, read one block at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(_HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _dump_leaves(fh, obj, leaf_writers: dict, path: tuple = ()) -> None:
@@ -179,6 +191,17 @@ class _Pipeline:
         full = self.model.row_coords
         return full[:, :2] if self.config.dims == "plane" else full
 
+    @cached_property
+    def full_dist(self):
+        """Distances over the full factor space, the base of impact."""
+        return distance_matrix(self.model.row_coords)
+
+    @cached_property
+    def dist(self):
+        """Distances over the ``coords`` view; ``full_dist`` itself under
+        ``--dims full``, so each view's matrix is built once per run."""
+        return self.full_dist if self.config.dims == "full" else distance_matrix(self.coords)
+
     # -- stages ----------------------------------------------------------
     def stage_ingest(self):
         tdm, vocab = self.tdm, self.vocab
@@ -213,7 +236,7 @@ class _Pipeline:
         self.artifacts += [self.out / "model.json", *paths.values()]
 
     def stage_cluster(self):
-        dendro = build_dendrogram(self.coords, ids=self.seq)
+        dendro = build_dendrogram(self.coords, ids=self.seq, dist=self.dist)
         self.artifacts.append(
             _write_json(self.out / "dendrogram.json", dendrogram_json_dict(dendro))
         )
@@ -230,7 +253,7 @@ class _Pipeline:
             n_permutations=self.config.n_permutations,
             rng_seed=self.config.rng_seed,
         )
-        result = segmentation.segment(self.coords, config, ids=self.seq)
+        result = segmentation.segment(self.coords, config, ids=self.seq, dist=self.dist)
         fmap = segmentation.segment_centroids_as_supplementary(
             result, self.tdm.principal_counts()
         )
@@ -275,7 +298,7 @@ class _Pipeline:
         self.artifacts.append(_write_csv(self.out / "segments.csv", rows))
 
     def stage_impact(self):
-        report = impact.build_impact_report(self.tdm, self.model)
+        report = impact.build_impact_report(self.tdm, self.model, self.full_dist)
         self.artifacts.append(_write_json(self.out / "impact.json", report.to_dict()))
         rows = [
             (
@@ -326,8 +349,7 @@ class _Pipeline:
     def write_manifest(self, subcommand: str) -> Path:
         entries = []
         for path in sorted(self.artifacts):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            entries.append({"path": path.name, "sha256": digest})
+            entries.append({"path": path.name, "sha256": _sha256(path)})
         manifest = {
             "subcommand": subcommand,
             "config": dataclasses.asdict(self.config),

@@ -10,11 +10,13 @@ constraint.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatch, InvalidK
 
@@ -52,6 +54,60 @@ def _validate_points(points) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise DimensionMismatch("points contain non-finite coordinates")
     return pts
+
+
+_STRIPES = 64  # row stripes of the distance matrix, about equal in pairs
+_MAX_WORKERS = 4
+
+
+def _default_workers() -> int:
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, _MAX_WORKERS)
+
+
+def distance_matrix(points, workers: int | None = None) -> np.ndarray:
+    """Read-only square matrix of Euclidean distances between the rows of
+    ``points``, equal bit for bit to ``squareform(pdist(points))``.
+
+    The rows are cut into stripes ``[a, b)`` holding about equal numbers of
+    upper-triangle pairs.  Each stripe fills ``D[a:b, a:]`` with ``cdist``
+    (which shares ``pdist``'s Euclidean kernel) and mirrors it into
+    ``D[a:, a:b]``.  No two stripes write the same cell, so the stripes run
+    on a thread pool of ``workers`` threads (default: the usable cores,
+    at most 4) and the result does not depend on their order.
+    """
+    pts = np.ascontiguousarray(_validate_points(points))
+    n = len(pts)
+    rows = np.arange(n + 1)
+    pairs_before = rows * (2 * n - rows - 1) // 2  # upper pairs in rows < i
+    cuts = np.searchsorted(pairs_before, pairs_before[-1] * np.arange(1, _STRIPES) / _STRIPES)
+    bounds = np.unique(np.concatenate(([0], cuts, [n])))
+    dist = np.empty((n, n))
+
+    def fill(a: int, b: int) -> None:
+        dist[a:b, a:] = cdist(pts[a:b], pts[a:])
+        dist[a:, a:b] = dist[a:b, a:].T
+
+    with ThreadPoolExecutor(max_workers=workers or _default_workers()) as pool:
+        tasks = [pool.submit(fill, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        for task in tasks:
+            task.result()
+    dist.flags.writeable = False
+    return dist
+
+
+def _square_for(pts: np.ndarray, dist) -> np.ndarray:
+    """``dist`` checked against the points, or their distance matrix."""
+    if dist is None:
+        return distance_matrix(pts)
+    if np.shape(dist) != (len(pts), len(pts)):
+        raise DimensionMismatch(
+            f"distance matrix shape {np.shape(dist)} does not match {len(pts)} points"
+        )
+    return dist
 
 
 def _agglomerate(
@@ -105,7 +161,7 @@ def _agglomerate(
     return merges, intervals, list(zip(starts, ends))
 
 
-def cluster(points, ids: list[int] | None = None) -> Dendrogram:
+def cluster(points, ids: list[int] | None = None, dist=None) -> Dendrogram:
     """Agglomerate points (in sequence order) to a single cluster.
 
     Parameters
@@ -115,6 +171,8 @@ def cluster(points, ids: list[int] | None = None) -> Dendrogram:
         dimensionality is intended; pass a column slice to explore planar
         sub-spaces.
     ids : optional document ids for the leaves (defaults to 0..n-1).
+    dist : optional (n, n) distance matrix of the points, as built by
+        :func:`distance_matrix`; computed when omitted.
 
     Returns a :class:`Dendrogram` with exactly n-1 merges whose heights are
     non-decreasing and whose clusters are contiguous intervals.
@@ -125,7 +183,7 @@ def cluster(points, ids: list[int] | None = None) -> Dendrogram:
         raise DimensionMismatch("need at least 2 points to cluster")
     if ids is not None and len(ids) != n:
         raise DimensionMismatch("ids length does not match points")
-    merges, intervals, _ = _agglomerate(squareform(pdist(pts)))
+    merges, intervals, _ = _agglomerate(_square_for(pts, dist))
     return Dendrogram(
         leaves=list(ids) if ids is not None else list(range(n)),
         merges=merges,

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import squareform
 
 from . import ca
+from .cluster import _square_for
 from .corpus import TermDocMatrix
 from .errors import DegenerateSpread, EmptyCampaign
 
@@ -29,25 +30,28 @@ class PairwiseStats:
     mean: float
     stdev: float  # population standard deviation over the n(n-1)/2 pairs
     n_pairs: int
-    sorted_distances: np.ndarray = field(repr=False, default=None)
+    distances: np.ndarray = field(repr=False, default=None)  # condensed, pdist order
 
     def percent_below(self, d: float) -> float:
         """Empirical percentile: share of pairwise distances below d."""
-        idx = np.searchsorted(self.sorted_distances, d, side="left")
-        return 100.0 * idx / self.n_pairs
+        return 100.0 * np.count_nonzero(self.distances < d) / self.n_pairs
 
 
-def pairwise_distance_stats(coords: np.ndarray) -> PairwiseStats:
-    """Mean/stdev/quantile base over all point pairs of a coordinate cloud."""
+def pairwise_distance_stats(coords: np.ndarray, dist=None) -> PairwiseStats:
+    """Mean/stdev/quantile base over all point pairs of a coordinate cloud.
+
+    ``dist`` is an optional square distance matrix of ``coords``, as built
+    by :func:`chronosem.cluster.distance_matrix`; computed when omitted.
+    """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or len(coords) < 2:
         raise DegenerateSpread("need at least two points for pairwise statistics")
-    dists = pdist(coords)
+    dists = squareform(_square_for(coords, dist), checks=False)
     return PairwiseStats(
         mean=float(dists.mean()),
         stdev=float(dists.std()),
         n_pairs=len(dists),
-        sorted_distances=np.sort(dists),
+        distances=dists,
     )
 
 
@@ -150,17 +154,20 @@ class ImpactReport:
         }
 
 
-def build_impact_report(tdm: TermDocMatrix, model: ca.CAModel) -> ImpactReport:
+def build_impact_report(
+    tdm: TermDocMatrix, model: ca.CAModel, dist=None
+) -> ImpactReport:
     """Impact record for every campaign with an initiating document.
 
     Several adjacent initiating documents of one campaign act as a single
     initiator (their term counts are pooled).  Campaigns without a usable
     initiating document or without ordinary member documents are listed in
-    ``skipped`` instead of failing the whole report.
+    ``skipped`` instead of failing the whole report.  ``dist`` is an
+    optional square distance matrix of ``model.row_coords``.
     """
     principal_counts = tdm.principal_counts()
     principal_campaigns = tdm.principal_campaigns()
-    stats = pairwise_distance_stats(model.row_coords)
+    stats = pairwise_distance_stats(model.row_coords, dist)
 
     initiators: dict[int, list[tuple[int, np.ndarray]]] = {}
     for seq_no, campaign, vector in tdm.supplementary_rows():

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import squareform
 
 from . import ca
-from .cluster import _agglomerate, _validate_points
+from .cluster import _agglomerate, _square_for, _validate_points, distance_matrix
 from .errors import DimensionMismatch
 
 FUSE = "fuse"
@@ -82,10 +82,15 @@ class SegmentationResult:
 
 def _coded_matrix(dist_matrix: np.ndarray) -> np.ndarray:
     """0/1 matrix coding each pairwise distance; the half strictly above the
-    median is 1 (ties at the median conservatively 0)."""
-    condensed = squareform(dist_matrix, checks=False)
-    median = np.median(condensed)
-    return squareform((condensed > median).astype(float), checks=False)
+    median is 1 (ties at the median conservatively 0).
+
+    The median is taken over the condensed pairs and the square matrix is
+    coded directly; its zero diagonal codes 0.  ``dist_matrix`` is
+    symmetric and is only read, as it may be a view of a shared read-only
+    matrix.
+    """
+    median = np.median(squareform(dist_matrix, checks=False))
+    return (dist_matrix > median).astype(float)
 
 
 def _relabelled_counts(
@@ -146,16 +151,19 @@ def perm_test(
         )
     if len(a) < 1 or len(b) < 1:
         raise DimensionMismatch("both groups need at least one point")
-    union = np.vstack([a, b])
-    if not np.all(np.isfinite(union)):
-        raise DimensionMismatch("points contain non-finite coordinates")
     return _test_from_distances(
-        squareform(pdist(union)), len(a), config, np.random.SeedSequence(config.rng_seed)
+        distance_matrix(np.vstack([a, b])),
+        len(a),
+        config,
+        np.random.SeedSequence(config.rng_seed),
     )
 
 
 def segment(
-    points, config: PermTestConfig = PermTestConfig(), ids: list[int] | None = None
+    points,
+    config: PermTestConfig = PermTestConfig(),
+    ids: list[int] | None = None,
+    dist=None,
 ) -> SegmentationResult:
     """Split a chronological point sequence into homogeneous segments.
 
@@ -166,6 +174,8 @@ def segment(
     Reproducible bit-for-bit for a fixed ``config.rng_seed``: test t draws
     its permutations from an independently seeded stream (seed, t), so
     replicates may be evaluated in parallel without changing decisions.
+    ``dist`` is an optional (n, n) distance matrix of the points, as built
+    by :func:`chronosem.cluster.distance_matrix`; computed when omitted.
     """
     pts = _validate_points(points)
     n = len(pts)
@@ -174,7 +184,7 @@ def segment(
     ids = list(range(n)) if ids is None else list(ids)
     if len(ids) != n:
         raise DimensionMismatch("ids length does not match points")
-    dist = squareform(pdist(pts))
+    dist = _square_for(pts, dist)
     tests: list[BoundaryTest] = []
 
     def gate(left: range, right: range) -> bool:

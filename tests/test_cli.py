@@ -1,10 +1,13 @@
 import hashlib
+import importlib
 import json
 
 import numpy as np
 import pytest
 
-from chronosem.cli import PipelineConfig, main, run
+from chronosem import cli as cli_module
+from chronosem import impact, segmentation
+from chronosem.cli import _HASH_BLOCK, PipelineConfig, _Pipeline, main, run
 from chronosem.errors import ConfigError
 from helpers import SYNTHETIC3, synthetic_corpus_rows, write_corpus_csv
 
@@ -55,6 +58,46 @@ class TestRunAll:
         assert seg["config"]["rng_seed"] == 12
         members = [m for s in seg["segments"] for m in s["members"]]
         assert members == sorted(members)
+
+
+class TestSharedDistances:
+    @pytest.mark.parametrize("dims, builds", [("full", 1), ("plane", 2)])
+    def test_all_builds_one_matrix_per_view(self, tmp_path, monkeypatch, dims, builds):
+        cluster_module = importlib.import_module("chronosem.cluster")
+        original = cluster_module.distance_matrix
+        calls = []
+
+        def counted(points, workers=None):
+            calls.append(np.shape(points))
+            return original(points, workers)
+
+        for module in (cluster_module, segmentation, impact, cli_module):
+            if hasattr(module, "distance_matrix"):
+                monkeypatch.setattr(module, "distance_matrix", counted)
+        assert cli("all", "--input", SYNTHETIC3, "--out", tmp_path, "--dims", dims,
+                   "--permutations", 200) == 0
+        assert len(calls) == builds
+
+    @pytest.mark.parametrize("dims", ["full", "plane"])
+    def test_all_matches_separate_subcommands(self, tmp_path, dims):
+        flags = ("--input", SYNTHETIC3, "--dims", dims, "--seed", 5, "--permutations", 300)
+        assert cli("all", "--out", tmp_path / "all", *flags) == 0
+        for stage in ("cluster", "segment", "impact"):
+            out = tmp_path / stage
+            assert cli(stage, "--out", out, *flags) == 0
+            names = [p.name for p in out.iterdir() if p.name != "manifest.json"]
+            assert names
+            for name in names:
+                assert (out / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+    def test_manifest_hashes_files_larger_than_one_block(self, tmp_path):
+        pipe = _Pipeline(PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path)))
+        big = tmp_path / "big.bin"
+        big.write_bytes(np.random.default_rng(0).bytes(2 * _HASH_BLOCK + 123))
+        pipe.artifacts.append(big)
+        manifest = json.loads(pipe.write_manifest("ingest").read_text())
+        digest = hashlib.sha256(big.read_bytes()).hexdigest()
+        assert manifest["artifacts"] == [{"path": "big.bin", "sha256": digest}]
 
 
 class TestSubcommands:

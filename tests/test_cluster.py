@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from chronosem import cluster, cut, to_newick
-from chronosem.cluster import dendrogram_csv_rows, dendrogram_json_dict
+from chronosem.cluster import dendrogram_csv_rows, dendrogram_json_dict, distance_matrix
 from chronosem.errors import DimensionMismatch, InvalidK
 from oracles import constrained_complete_link_bruteforce
 
@@ -130,3 +131,35 @@ class TestExports:
         rows = list(dendrogram_csv_rows(dendro))
         assert rows[0] == ("step", "left", "right", "height")
         assert len(rows) == 3
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize(
+        "shape, cols",
+        [
+            ((2, 3), slice(None)),  # one pair
+            ((10, 4), slice(None)),  # fewer rows than stripes
+            ((300, 20), slice(None)),  # every stripe holds rows
+            ((200, 6), slice(0, 2)),  # the non-contiguous plane view
+        ],
+    )
+    def test_any_worker_count_equals_pdist(self, shape, cols):
+        pts = np.random.default_rng(shape[0]).standard_normal(shape)[:, cols]
+        one = distance_matrix(pts, workers=1)
+        two = distance_matrix(pts, workers=2)
+        assert np.array_equal(one, two)
+        assert np.array_equal(one, squareform(pdist(pts)))
+        assert np.array_equal(squareform(one, checks=False), pdist(pts))
+
+    def test_read_only(self):
+        dist = distance_matrix(np.random.default_rng(0).standard_normal((40, 3)))
+        assert not dist.flags.writeable
+        with pytest.raises(ValueError):
+            dist[0, 1] = 0.0
+
+    def test_given_matrix_is_used_and_checked(self):
+        pts = np.random.default_rng(2).standard_normal((12, 3))
+        dendro = cluster(pts, dist=distance_matrix(pts))
+        assert dendro.heights().tolist() == cluster(pts).heights().tolist()
+        with pytest.raises(DimensionMismatch):
+            cluster(pts, dist=distance_matrix(pts[:-1]))

@@ -81,6 +81,33 @@ class TestPairwiseStats:
         assert stats.percent_below(2.5) == pytest.approx(100 * 2 / 3)
         assert stats.percent_below(0.5) == 0.0
 
+    def test_percent_below_equals_sorted_search(self):
+        from scipy.spatial.distance import pdist
+
+        rng = np.random.default_rng(3)
+        for n in (2, 5, 30):
+            pts = rng.integers(0, 3, size=(n, 2)).astype(float)
+            pts[-1] = pts[0]  # a duplicate point: a zero distance
+            stats = pairwise_distance_stats(pts)
+            ordered = np.sort(pdist(pts))
+            probes = np.concatenate((ordered, ordered + 0.5, [-1.0, 0.0]))
+            for d in probes:
+                below = np.searchsorted(ordered, d, side="left")
+                assert stats.percent_below(d) == 100.0 * below / stats.n_pairs
+
+    def test_moments_equal_condensed_pdist_bit_for_bit(self):
+        from scipy.spatial.distance import pdist
+
+        from chronosem.cluster import distance_matrix
+
+        coords = np.random.default_rng(5).standard_normal((250, 4))
+        condensed = pdist(coords)
+        for dist in (None, distance_matrix(coords)):
+            stats = pairwise_distance_stats(coords, dist)
+            assert stats.mean == float(condensed.mean())
+            assert stats.stdev == float(condensed.std())
+            assert np.array_equal(stats.distances, condensed)
+
 
 class TestCampaignCentroid:
     def test_single_member_campaign(self):

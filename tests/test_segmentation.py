@@ -12,7 +12,11 @@ from chronosem import (
     threshold_matrix,
 )
 from chronosem.errors import DimensionMismatch
-from chronosem.segmentation import SegmentationResult, _test_from_distances
+from chronosem.segmentation import (
+    SegmentationResult,
+    _coded_matrix,
+    _test_from_distances,
+)
 from helpers import docs_from_rows, synthetic_corpus_rows, three_blob_points
 from oracles import (
     constrained_complete_link_bruteforce,
@@ -196,6 +200,24 @@ class TestSegment:
         assert res.segments == [[7]] and res.tests == [] and res.blocked == []
         with pytest.raises(DimensionMismatch):
             segment(np.ones((0, 3)))
+
+
+class TestCodedMatrix:
+    def test_ties_at_median_match_condensed_coding(self):
+        from scipy.spatial.distance import squareform
+
+        rng = np.random.default_rng(6)
+        for m in (3, 4, 7, 12):
+            # integer distances: many pairs tie with the median
+            block = squareform(rng.integers(1, 4, size=m * (m - 1) // 2).astype(float))
+            condensed = squareform(block, checks=False)
+            median = np.median(condensed)
+            assert np.any(condensed == median)
+            expected = squareform((condensed > median).astype(float), checks=False)
+            before = block.copy()
+            block.flags.writeable = False
+            assert np.array_equal(_coded_matrix(block), expected)
+            assert np.array_equal(block, before)
 
 
 class TestSegmentCentroids:
