@@ -192,15 +192,9 @@ class _Pipeline:
         return full[:, :2] if self.config.dims == "plane" else full
 
     @cached_property
-    def full_dist(self):
-        """Distances over the full factor space, the base of impact."""
-        return distance_matrix(self.model.row_coords)
-
-    @cached_property
     def dist(self):
-        """Distances over the ``coords`` view; ``full_dist`` itself under
-        ``--dims full``, so each view's matrix is built once per run."""
-        return self.full_dist if self.config.dims == "full" else distance_matrix(self.coords)
+        """Distance matrix of the ``coords`` view, shared by cluster and segment."""
+        return distance_matrix(self.coords)
 
     # -- stages ----------------------------------------------------------
     def stage_ingest(self):
@@ -298,7 +292,13 @@ class _Pipeline:
         self.artifacts.append(_write_csv(self.out / "segments.csv", rows))
 
     def stage_impact(self):
-        report = impact.build_impact_report(self.tdm, self.model, self.full_dist)
+        # impact is the chain's last user of the cached matrix, so release
+        # it here.  Under --dims full it also covers impact; otherwise, and
+        # when impact runs alone, impact builds only the condensed distances.
+        dist = self.__dict__.pop("dist", None)
+        if self.config.dims != "full":
+            dist = None
+        report = impact.build_impact_report(self.tdm, self.model, dist)
         self.artifacts.append(_write_json(self.out / "impact.json", report.to_dict()))
         rows = [
             (

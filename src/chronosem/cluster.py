@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, squareform
 
 from .errors import DimensionMismatch, InvalidK
 
@@ -56,8 +56,8 @@ def _validate_points(points) -> np.ndarray:
     return pts
 
 
-_STRIPES = 64  # row stripes of the distance matrix, about equal in pairs
-_MAX_WORKERS = 4
+_STRIPES = 64  # row stripes of the distance vector, about equal in pairs
+_MAX_WORKERS = 4  # measured only up to 2 cores
 
 
 def _default_workers() -> int:
@@ -68,33 +68,43 @@ def _default_workers() -> int:
     return min(cores, _MAX_WORKERS)
 
 
-def distance_matrix(points, workers: int | None = None) -> np.ndarray:
-    """Read-only square matrix of Euclidean distances between the rows of
-    ``points``, equal bit for bit to ``squareform(pdist(points))``.
+def pdist(points) -> np.ndarray:
+    """Read-only condensed Euclidean distances between the rows of
+    ``points``, equal bit for bit to ``scipy.spatial.distance.pdist``.
 
-    The rows are cut into stripes ``[a, b)`` holding about equal numbers of
-    upper-triangle pairs.  Each stripe fills ``D[a:b, a:]`` with ``cdist``
-    (which shares ``pdist``'s Euclidean kernel) and mirrors it into
-    ``D[a:, a:b]``.  No two stripes write the same cell, so the stripes run
-    on a thread pool of ``workers`` threads (default: the usable cores,
-    at most 4) and the result does not depend on their order.
+    Row i's pairs ``(i, j > i)`` are one contiguous run of the condensed
+    vector.  The rows are cut into stripes ``[a, b)`` holding about equal
+    numbers of pairs; each stripe computes its rows with ``cdist`` (which
+    shares ``pdist``'s Euclidean kernel) and copies them into their runs.
+    No two stripes write the same cell, so the stripes run on a pool of
+    the usable cores (at most 4) and the result does not depend on their
+    order.
     """
     pts = np.ascontiguousarray(_validate_points(points))
     n = len(pts)
     rows = np.arange(n + 1)
-    pairs_before = rows * (2 * n - rows - 1) // 2  # upper pairs in rows < i
-    cuts = np.searchsorted(pairs_before, pairs_before[-1] * np.arange(1, _STRIPES) / _STRIPES)
+    run_start = rows * (2 * n - rows - 1) // 2  # pairs of the rows before i
+    cuts = np.searchsorted(run_start, run_start[-1] * np.arange(1, _STRIPES) / _STRIPES)
     bounds = np.unique(np.concatenate(([0], cuts, [n])))
-    dist = np.empty((n, n))
+    out = np.empty(run_start[-1])
 
     def fill(a: int, b: int) -> None:
-        dist[a:b, a:] = cdist(pts[a:b], pts[a:])
-        dist[a:, a:b] = dist[a:b, a:].T
+        block = cdist(pts[a:b], pts[a + 1 :])
+        for i in range(a, b):
+            out[run_start[i] : run_start[i + 1]] = block[i - a, i - a :]
 
-    with ThreadPoolExecutor(max_workers=workers or _default_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=_default_workers()) as pool:
         tasks = [pool.submit(fill, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         for task in tasks:
             task.result()
+    out.flags.writeable = False
+    return out
+
+
+def distance_matrix(points) -> np.ndarray:
+    """Read-only square form of :func:`pdist`, the input of :func:`cluster`
+    and :func:`chronosem.segmentation.segment`."""
+    dist = squareform(pdist(points))
     dist.flags.writeable = False
     return dist
 

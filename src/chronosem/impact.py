@@ -11,16 +11,18 @@ the empirical percentile of the impact distance within that distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import squareform
 
 from . import ca
-from .cluster import _square_for
+from .cluster import _square_for, pdist
 from .corpus import TermDocMatrix
 from .errors import DegenerateSpread, EmptyCampaign
+
+_COUNT_BLOCK = 1 << 16  # distances sorted at a time by percents_below
 
 
 @dataclass(frozen=True)
@@ -34,19 +36,38 @@ class PairwiseStats:
 
     def percent_below(self, d: float) -> float:
         """Empirical percentile: share of pairwise distances below d."""
-        return 100.0 * np.count_nonzero(self.distances < d) / self.n_pairs
+        return float(self.percents_below([d])[0])
+
+    def percents_below(self, ds) -> np.ndarray:
+        """:meth:`percent_below` of every d in ``ds``, in one pass.
+
+        The distances are sorted one small block at a time and each d is
+        counted into every sorted block by binary search, so no sorted copy
+        of all the distances is kept and the cost barely grows with
+        ``len(ds)``.
+        """
+        ds = np.asarray(ds, dtype=float)
+        below = np.zeros(len(ds), dtype=np.int64)
+        for start in range(0, len(self.distances), _COUNT_BLOCK):
+            block = np.sort(self.distances[start : start + _COUNT_BLOCK])
+            below += np.searchsorted(block, ds, side="left")
+        return 100.0 * below / self.n_pairs
 
 
 def pairwise_distance_stats(coords: np.ndarray, dist=None) -> PairwiseStats:
     """Mean/stdev/quantile base over all point pairs of a coordinate cloud.
 
     ``dist`` is an optional square distance matrix of ``coords``, as built
-    by :func:`chronosem.cluster.distance_matrix`; computed when omitted.
+    by :func:`chronosem.cluster.distance_matrix`; without it the condensed
+    distances are computed directly.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or len(coords) < 2:
         raise DegenerateSpread("need at least two points for pairwise statistics")
-    dists = squareform(_square_for(coords, dist), checks=False)
+    if dist is None:
+        dists = pdist(coords)
+    else:
+        dists = squareform(_square_for(coords, dist), checks=False)
     return PairwiseStats(
         mean=float(dists.mean()),
         stdev=float(dists.std()),
@@ -200,11 +221,15 @@ def build_impact_report(
                 z_score=z,
                 two_sided_tail_percent=two_sided,
                 one_sided_tail_percent=two_sided / 2.0,
-                percent_pairs_below=stats.percent_below(d_full),
+                percent_pairs_below=math.nan,  # filled below, in one pass
                 initiating_seq_nos=seq_nos,
                 n_member_docs=int(len(members)),
             )
         )
+    below = stats.percents_below([r.distance_full for r in records])
+    records = [
+        replace(r, percent_pairs_below=float(b)) for r, b in zip(records, below)
+    ]
     return ImpactReport(
         campaigns=records,
         mean_pairwise=stats.mean,

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial.distance import squareform
 
 from . import ca
-from .cluster import _agglomerate, _square_for, _validate_points, distance_matrix
+from .cluster import _agglomerate, _square_for, _validate_points, pdist
 from .errors import DimensionMismatch
 
 FUSE = "fuse"
@@ -152,7 +152,7 @@ def perm_test(
     if len(a) < 1 or len(b) < 1:
         raise DimensionMismatch("both groups need at least one point")
     return _test_from_distances(
-        distance_matrix(np.vstack([a, b])),
+        squareform(pdist(np.vstack([a, b]))),
         len(a),
         config,
         np.random.SeedSequence(config.rng_seed),

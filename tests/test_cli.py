@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from chronosem import cli as cli_module
 from chronosem import impact, segmentation
 from chronosem.cli import _HASH_BLOCK, PipelineConfig, _Pipeline, main, run
 from chronosem.errors import ConfigError
@@ -61,20 +60,24 @@ class TestRunAll:
 
 
 class TestSharedDistances:
-    @pytest.mark.parametrize("dims, builds", [("full", 1), ("plane", 2)])
-    def test_all_builds_one_matrix_per_view(self, tmp_path, monkeypatch, dims, builds):
+    @pytest.mark.parametrize(
+        "subcommand, dims, builds",
+        [("all", "full", 1), ("all", "plane", 2), ("impact", "full", 1)],
+    )
+    def test_distances_built_once_per_view(
+        self, tmp_path, monkeypatch, subcommand, dims, builds
+    ):
         cluster_module = importlib.import_module("chronosem.cluster")
-        original = cluster_module.distance_matrix
+        original = cluster_module.pdist
         calls = []
 
-        def counted(points, workers=None):
+        def counted(points):
             calls.append(np.shape(points))
-            return original(points, workers)
+            return original(points)
 
-        for module in (cluster_module, segmentation, impact, cli_module):
-            if hasattr(module, "distance_matrix"):
-                monkeypatch.setattr(module, "distance_matrix", counted)
-        assert cli("all", "--input", SYNTHETIC3, "--out", tmp_path, "--dims", dims,
+        for module in (cluster_module, segmentation, impact):
+            monkeypatch.setattr(module, "pdist", counted)
+        assert cli(subcommand, "--input", SYNTHETIC3, "--out", tmp_path, "--dims", dims,
                    "--permutations", 200) == 0
         assert len(calls) == builds
 

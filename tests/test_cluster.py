@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
@@ -6,6 +8,8 @@ from chronosem import cluster, cut, to_newick
 from chronosem.cluster import dendrogram_csv_rows, dendrogram_json_dict, distance_matrix
 from chronosem.errors import DimensionMismatch, InvalidK
 from oracles import constrained_complete_link_bruteforce
+
+cluster_module = importlib.import_module("chronosem.cluster")
 
 LINE = np.array([[0.0], [1.0], [10.0]])
 
@@ -143,19 +147,38 @@ class TestDistanceMatrix:
             ((200, 6), slice(0, 2)),  # the non-contiguous plane view
         ],
     )
-    def test_any_worker_count_equals_pdist(self, shape, cols):
+    def test_any_worker_count_equals_scipy(self, monkeypatch, shape, cols):
         pts = np.random.default_rng(shape[0]).standard_normal(shape)[:, cols]
-        one = distance_matrix(pts, workers=1)
-        two = distance_matrix(pts, workers=2)
-        assert np.array_equal(one, two)
-        assert np.array_equal(one, squareform(pdist(pts)))
-        assert np.array_equal(squareform(one, checks=False), pdist(pts))
+        built = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cluster_module, "_default_workers", lambda w=workers: w)
+            built.append((cluster_module.pdist(pts), distance_matrix(pts)))
+        (cond1, square1), (cond2, square2) = built
+        assert np.array_equal(cond1, cond2)
+        assert np.array_equal(square1, square2)
+        assert np.array_equal(cond1, pdist(pts))
+        assert np.array_equal(square1, squareform(pdist(pts)))
 
     def test_read_only(self):
-        dist = distance_matrix(np.random.default_rng(0).standard_normal((40, 3)))
-        assert not dist.flags.writeable
-        with pytest.raises(ValueError):
-            dist[0, 1] = 0.0
+        pts = np.random.default_rng(0).standard_normal((40, 3))
+        for dist in (cluster_module.pdist(pts), distance_matrix(pts)):
+            assert not dist.flags.writeable
+            with pytest.raises(ValueError):
+                dist[1] = 0.0
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, workers",
+        [({0}, 8, 1), (set(range(3)), 8, 3), (set(range(16)), 16, 4), (None, 2, 2)],
+    )
+    def test_worker_count_capped_by_affinity_and_four(
+        self, monkeypatch, affinity, cpu_count, workers
+    ):
+        if affinity is None:  # a platform without sched_getaffinity
+            monkeypatch.delattr(cluster_module.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(cluster_module.os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(cluster_module.os, "cpu_count", lambda: cpu_count)
+        assert cluster_module._default_workers() == workers
 
     def test_given_matrix_is_used_and_checked(self):
         pts = np.random.default_rng(2).standard_normal((12, 3))

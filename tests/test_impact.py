@@ -95,6 +95,34 @@ class TestPairwiseStats:
                 below = np.searchsorted(ordered, d, side="left")
                 assert stats.percent_below(d) == 100.0 * below / stats.n_pairs
 
+    def test_percents_below_equals_one_search_per_distance(self):
+        from scipy.spatial.distance import pdist
+
+        rng = np.random.default_rng(4)
+        for n in (2, 6, 40):
+            pts = rng.integers(0, 3, size=(n, 2)).astype(float)
+            pts[-1] = pts[0]
+            stats = pairwise_distance_stats(pts)
+            ordered = np.sort(pdist(pts))
+            probes = np.concatenate((ordered[::3], ordered[::2] + 0.25, [-1.0, 0.0]))
+            probes = rng.permutation(np.concatenate((probes, probes[:4])))  # repeats
+            expected = [
+                100.0 * np.searchsorted(ordered, d, side="left") / stats.n_pairs
+                for d in probes
+            ]
+            assert stats.percents_below(probes).tolist() == expected
+            assert stats.percents_below([]).tolist() == []
+
+    def test_percents_below_across_count_blocks(self, monkeypatch):
+        from chronosem import impact as impact_module
+
+        coords = np.random.default_rng(6).standard_normal((60, 3))
+        stats = pairwise_distance_stats(coords)
+        probes = np.quantile(stats.distances, [0.9, 0.1, 0.5, 0.5])
+        whole = stats.percents_below(probes)
+        monkeypatch.setattr(impact_module, "_COUNT_BLOCK", 7)
+        assert np.array_equal(stats.percents_below(probes), whole)
+
     def test_moments_equal_condensed_pdist_bit_for_bit(self):
         from scipy.spatial.distance import pdist
 
