@@ -5,7 +5,8 @@ its stage in memory, and writes that stage's artifacts plus a manifest with
 the config, seed, library versions and a content hash per file.  All
 randomness flows from the single --seed flag, so reruns are byte-identical.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error,
+5 unexpected error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import json
 import platform
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from contextlib import ExitStack, contextmanager
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ import scipy
 
 from . import __version__, ca, corpus, impact, segmentation
 from .cluster import cluster as build_dendrogram
+from .cluster import _default_workers
 from .cluster import dendrogram_csv_rows, dendrogram_json_dict, distance_matrix, to_newick
 from .errors import ChronosemError, ConfigError
 
@@ -40,6 +43,9 @@ SUBCOMMANDS = {
 }
 # the stages `all` runs, in order
 CHAIN = ("ingest", "ca", "cluster", "segment", "impact")
+# exit code of a failure that is not a ChronosemError (a bug, a dead
+# worker process, an I/O error while writing)
+UNEXPECTED_ERROR_EXIT = 5
 
 
 @dataclass
@@ -110,40 +116,95 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _dump_leaves(fh, obj, leaf_writers: dict, path: tuple = ()) -> None:
+_STRIPE_ROWS = 64  # rows per formatting task
+
+
+def _format_stripe(block: np.ndarray, ids) -> tuple[str, str]:
+    """JSON text of a block of float rows, without the outer brackets, and,
+    when ``ids`` are given, the same rows as CSV lines after their ids.
+
+    Each float is formatted once, by ``repr``; for finite floats the
+    ``repr`` of a list equals its ``json.dumps``.  The ids are ints or
+    alphabetic terms and the cells are float reprs, so no CSV cell needs
+    quoting.
+    """
+    rows = list(map(repr, block.tolist()))
+    if ids is None:
+        return ", ".join(rows), ""
+    lines = [f"{i},{row[1:-1]}" if block.shape[1] else str(i) for i, row in zip(ids, rows)]
+    return ", ".join(rows), "\n".join(lines).replace(", ", ",") + "\n"
+
+
+@contextmanager
+def _stripe_map():
+    """The ``map`` that formats stripes: ``pool.map`` on a pool of
+    ``_default_workers()`` forked processes, or builtin ``map`` when there
+    is one worker or no ``fork``.
+
+    ``repr`` holds the interpreter lock, so threads would not run it in
+    parallel.  Forked workers leave through ``os._exit``, so they never
+    flush the parent's open files.
+    """
+    import multiprocessing  # imported here, so the CLI's start-up does not pay for it
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    workers = _default_workers()
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        yield map
+        return
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield pool.map
+
+
+def _pieces(obj, path: tuple = ()):
+    """``json.dumps(obj, sort_keys=True)`` as a sequence of strings, with a
+    ``(key path, array)`` pair in place of each 2-D float array."""
+    if isinstance(obj, dict):
+        yield "{"
+        for k, key in enumerate(sorted(obj)):
+            yield f"{', ' if k else ''}{json.dumps(key)}: "
+            yield from _pieces(obj[key], path + (key,))
+        yield "}"
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
+        yield path, obj
+    else:
+        yield json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
+
+
+def _dump_leaves(fh, obj, fmt, csvs=None) -> None:
     """Write ``json.dumps(obj, sort_keys=True)`` to ``fh`` one leaf at a time.
 
-    Dicts are written key by key in sorted order.  Any other value is a
-    leaf: ``leaf_writers[path]`` writes it when its key path is listed,
-    otherwise the C encoder renders it (an ndarray after ``.tolist()``).
-    Floats must be finite, as ``repr`` and JSON differ on NaN and inf.
+    Dicts are written key by key in sorted order.  Every 2-D float array is
+    cut into stripes of ``_STRIPE_ROWS`` rows, all of them are handed to
+    ``fmt`` (builtin ``map`` or a pool's, see :func:`_stripe_map`) with
+    :func:`_format_stripe`, and each stripe is written as its result
+    arrives, in order.  The rows of an array whose key path is in ``csvs``
+    also go, as CSV lines, to the open file of ``csvs[path] = (file, ids)``.
+    Any other leaf goes through the C encoder (an ndarray after
+    ``.tolist()``).  Floats must be finite, as ``repr`` and JSON differ on
+    NaN and inf.
     """
-    if isinstance(obj, dict):
-        fh.write("{")
-        for k, key in enumerate(sorted(obj)):
-            fh.write(f"{', ' if k else ''}{json.dumps(key)}: ")
-            _dump_leaves(fh, obj[key], leaf_writers, path + (key,))
-        fh.write("}")
-    elif path in leaf_writers:
-        leaf_writers[path](fh)
-    else:
-        fh.write(json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj))
-
-
-def _write_coords(csv_path: Path, header: str, ids, coords: np.ndarray, fh) -> None:
-    """Format each coordinate once: write the rows to ``csv_path`` after
-    their id and, as a JSON list of lists, to ``fh``.
-
-    The ids are ints or alphabetic terms and the cells are float reprs, so
-    no CSV cell needs quoting.
-    """
-    with open(csv_path, "w", newline="", encoding="utf-8") as out:
-        out.write(header)
+    csvs = csvs or {}
+    pieces = list(_pieces(obj))
+    stripes = [
+        (path, a, table[a : a + _STRIPE_ROWS])
+        for path, table in (p for p in pieces if isinstance(p, tuple))
+        for a in range(0, len(table), _STRIPE_ROWS)
+    ]
+    blocks = [block for _, _, block in stripes]
+    ids = [csvs[path][1][a : a + _STRIPE_ROWS] if path in csvs else None for path, a, _ in stripes]
+    results = iter(fmt(_format_stripe, blocks, ids))
+    for piece in pieces:
+        if isinstance(piece, str):
+            fh.write(piece)
+            continue
+        path, table = piece
         fh.write("[")
-        for k, (i, row) in enumerate(zip(ids, coords.tolist())):
-            cells = list(map(repr, row))
-            out.write(",".join([str(i), *cells]) + "\n")
-            fh.write(f"{', ' if k else ''}[{', '.join(cells)}]")
+        for a in range(0, len(table), _STRIPE_ROWS):
+            text, lines = next(results)
+            fh.write(f"{', ' if a else ''}{text}")
+            if path in csvs:
+                csvs[path][0].write(lines)
         fh.write("]")
 
 
@@ -218,14 +279,15 @@ class _Pipeline:
         export = ca.model_export_dict(model, row_ids=self.seq, col_ids=self.tdm.terms)
         header = ",".join(["id"] + [f"f{s + 1}" for s in range(model.n_factors)]) + "\n"
         paths = {c: self.out / f"model_{c}.csv" for c in ("rows", "cols")}
-        leaf_writers = {
-            (c, "coords"): partial(
-                _write_coords, path, header, export[c]["ids"], export[c]["coords"]
-            )
-            for c, path in paths.items()
-        }
-        with open(self.out / "model.json", "w", encoding="utf-8") as fh:
-            _dump_leaves(fh, export, leaf_writers)
+        with ExitStack() as stack:
+            fmt = stack.enter_context(_stripe_map())
+            csvs = {}
+            for c, path in paths.items():
+                out = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
+                out.write(header)
+                csvs[(c, "coords")] = (out, export[c]["ids"])
+            fh = stack.enter_context(open(self.out / "model.json", "w", encoding="utf-8"))
+            _dump_leaves(fh, export, fmt, csvs)
             fh.write("\n")
         self.artifacts += [self.out / "model.json", *paths.values()]
 
@@ -420,12 +482,12 @@ def main(argv: list[str] | None = None) -> int:
     config = PipelineConfig(**{k: v for k, v in vars(args).items() if k in fields})
     try:
         paths = run(args.subcommand, config)
-    except ChronosemError as exc:
+    except Exception as exc:  # every failure ends in one JSON line, never a traceback
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConfigError) and ": " in str(exc):
             payload["path"] = str(exc).rsplit(": ", 1)[-1]
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return exc.exit_code
+        return exc.exit_code if isinstance(exc, ChronosemError) else UNEXPECTED_ERROR_EXIT
     for path in paths:
         print(path)
     return 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial.distance import squareform
 
 from . import ca
@@ -242,28 +243,29 @@ def segment_centroids_as_supplementary(
     Under ``singleton_policy="supplementary"`` single-document segments are
     held out of the decomposition (they could distort it) and projected
     afterwards with zero mass; ``"principal"`` keeps every segment active.
-    ``counts`` must hold one row per clustered document, in sequence order.
+    ``counts`` must hold one row per clustered document, in sequence order;
+    it is summed in CSR form (a dense table is converted), never densified.
     """
     if singleton_policy not in ("supplementary", "principal"):
         raise ValueError(f"unknown singleton_policy {singleton_policy!r}")
-    dense = np.asarray(
-        counts.todense() if hasattr(counts, "todense") else counts, dtype=float
-    )
-    n_docs = sum(len(seg) for seg in result.segments)
-    if dense.shape[0] != n_docs:
+    counts = sparse.csr_array(counts)
+    sizes = np.array([len(seg) for seg in result.segments])
+    n_docs = int(sizes.sum())
+    if counts.shape[0] != n_docs:
         raise DimensionMismatch(
-            f"counts has {dense.shape[0]} rows for {n_docs} segmented documents"
+            f"counts has {counts.shape[0]} rows for {n_docs} segmented documents"
         )
 
-    seg_counts = np.zeros((result.n_segments, dense.shape[1]))
-    offset = 0
-    sizes = []
-    for k, seg in enumerate(result.segments):
-        seg_counts[k] = dense[offset : offset + len(seg)].sum(axis=0)
-        sizes.append(len(seg))
-        offset += len(seg)
+    # one sparse product with the segment-membership indicator sums each
+    # segment's rows in document order
+    members = sparse.csr_array(
+        (np.ones(n_docs, dtype=np.result_type(counts.dtype, np.int64)),
+         np.arange(n_docs), np.cumsum([0, *sizes])),
+        shape=(result.n_segments, n_docs),
+    )
+    seg_counts = (members @ counts).toarray().astype(float)
 
-    is_single = np.array([s == 1 for s in sizes])
+    is_single = sizes == 1
     if singleton_policy == "principal" or bool(np.all(is_single)):
         supplementary = np.zeros(result.n_segments, dtype=bool)
     else:

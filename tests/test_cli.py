@@ -1,12 +1,21 @@
 import hashlib
 import importlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from chronosem import cli as cli_module
 from chronosem import impact, segmentation
-from chronosem.cli import _HASH_BLOCK, PipelineConfig, _Pipeline, main, run
+from chronosem.cli import (
+    _HASH_BLOCK,
+    UNEXPECTED_ERROR_EXIT,
+    PipelineConfig,
+    _Pipeline,
+    main,
+    run,
+)
 from chronosem.errors import ConfigError
 from helpers import SYNTHETIC3, synthetic_corpus_rows, write_corpus_csv
 
@@ -21,6 +30,11 @@ ALL_ARTIFACTS = {
 
 def cli(*argv):
     return main([str(a) for a in argv])
+
+
+def _exit_worker(block, ids):
+    """Stands in for the stripe formatter: the worker process dies."""
+    os._exit(1)
 
 
 class TestRunAll:
@@ -268,6 +282,36 @@ class TestErrors:
         code = cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "x")
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceError"
+
+    def _assert_unexpected(self, capfd, code, error):
+        assert code == UNEXPECTED_ERROR_EXIT == 5
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert sorted(payload) == ["error", "message"]
+        assert payload["error"] == error
+        return payload
+
+    def test_dead_formatter_worker_exit_5(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.setattr(cli_module, "_default_workers", lambda: 2)
+        monkeypatch.setattr(cli_module, "_format_stripe", _exit_worker)
+        code = cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "x")
+        self._assert_unexpected(capfd, code, "BrokenProcessPool")
+
+    def test_unexpected_stage_error_exit_5(self, tmp_path, capfd, monkeypatch):
+        def broken(self):
+            raise RuntimeError("stage broke")
+
+        monkeypatch.setattr(_Pipeline, "stage_ca", broken)
+        code = cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "x")
+        payload = self._assert_unexpected(capfd, code, "RuntimeError")
+        assert payload["message"] == "stage broke"
+
+    def test_unwritable_output_exit_5(self, tmp_path, capfd):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory\n")
+        code = cli("ca", "--input", SYNTHETIC3, "--out", out)
+        self._assert_unexpected(capfd, code, "FileExistsError")
 
     def test_run_api_validates_subcommand(self, tmp_path):
         config = PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path / "o"))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from chronosem import (
     PermTestConfig,
@@ -11,6 +12,7 @@ from chronosem import (
     segment_centroids_as_supplementary,
     threshold_matrix,
 )
+from chronosem import segmentation
 from chronosem.errors import DimensionMismatch
 from chronosem.segmentation import (
     SegmentationResult,
@@ -270,6 +272,36 @@ class TestSegmentCentroids:
         fmap = segment_centroids_as_supplementary(res, counts)
         assert fmap.coords.shape[0] == 1
         assert float(np.linalg.norm(fmap.coords)) == 0.0
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_segment_sums_equal_dense_sums(self, monkeypatch, layout):
+        rng = np.random.default_rng(6)
+        sizes = [3, 1, 5, 2, 1, 7, 4, 1, 6]
+        counts = rng.integers(0, 4, size=(sum(sizes), 12))
+        counts[:, 0] += 1
+        counts[:, 5] = 0  # a term no segment uses
+        bounds = np.cumsum([0] + sizes)
+        res = SegmentationResult(
+            segments=[list(range(a, b)) for a, b in zip(bounds[:-1], bounds[1:])],
+            blocked=[], tests=[],
+        )
+        dense_sums = np.array(
+            [np.asarray(counts, dtype=float)[a:b].sum(axis=0)
+             for a, b in zip(bounds[:-1], bounds[1:])]
+        )
+        fitted = []
+        fit = segmentation.ca.fit_ca
+        monkeypatch.setattr(segmentation.ca, "fit_ca", lambda t: fitted.append(t) or fit(t))
+        table = sparse.csr_matrix(counts) if layout == "csr" else counts
+        fmap = segment_centroids_as_supplementary(res, table)
+        single = np.array(sizes) == 1
+        assert np.array_equal(fmap.supplementary, single)
+        kept = np.flatnonzero(dense_sums[~single].sum(axis=0) > 0)
+        assert np.array_equal(fmap.kept_cols, kept)
+        assert np.array_equal(fitted[0], dense_sums[~single][:, kept])
+        for k in np.flatnonzero(single):
+            expected = project_supplementary_row(fmap.model, dense_sums[k, kept])
+            assert np.array_equal(fmap.coords[k], expected)
 
     def test_principal_policy_keeps_singletons_active(self):
         rng = np.random.default_rng(5)
