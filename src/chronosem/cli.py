@@ -143,7 +143,8 @@ def _stripe_map():
 
     ``repr`` holds the interpreter lock, so threads would not run it in
     parallel.  Forked workers leave through ``os._exit``, so they never
-    flush the parent's open files.
+    flush the parent's open files.  When the caller fails, the stripes not
+    yet started are cancelled before the error propagates.
     """
     import multiprocessing  # imported here, so the CLI's start-up does not pay for it
     from concurrent.futures.process import ProcessPoolExecutor
@@ -153,7 +154,11 @@ def _stripe_map():
         yield map
         return
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield pool.map
+        try:
+            yield pool.map
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _pieces(obj, path: tuple = ()):
@@ -254,7 +259,8 @@ class _Pipeline:
 
     @cached_property
     def dist(self):
-        """Distance matrix of the ``coords`` view, shared by cluster and segment."""
+        """Distance matrix of the ``coords`` view, built by cluster and shared
+        with segment and impact."""
         return distance_matrix(self.coords)
 
     # -- stages ----------------------------------------------------------
@@ -309,7 +315,10 @@ class _Pipeline:
             n_permutations=self.config.n_permutations,
             rng_seed=self.config.rng_seed,
         )
-        result = segmentation.segment(self.coords, config, ids=self.seq, dist=self.dist)
+        # the matrix only if cluster built it; alone, segment reads just the
+        # distance blocks it needs
+        dist = self.__dict__.get("dist")
+        result = segmentation.segment(self.coords, config, ids=self.seq, dist=dist)
         fmap = segmentation.segment_centroids_as_supplementary(
             result, self.tdm.principal_counts()
         )

@@ -120,10 +120,32 @@ def _square_for(pts: np.ndarray, dist) -> np.ndarray:
     return dist
 
 
+def _distance_blocks(pts: np.ndarray, dist=None) -> Callable[[slice, slice], np.ndarray]:
+    """``block(a, b)``: the distances between the rows ``pts[a]`` and
+    ``pts[b]``.
+
+    With ``dist`` it reads a view of that square matrix.  Without it, it
+    computes each block with ``cdist``, the kernel :func:`pdist` uses, so
+    every value equals ``distance_matrix(pts)[a, b]`` bit for bit and no
+    n×n matrix is built.
+    """
+    if dist is not None:
+        square = _square_for(pts, dist)
+        return lambda a, b: square[a, b]
+    rows = np.ascontiguousarray(pts)
+    return lambda a, b: cdist(rows[a], rows[b])
+
+
 def _agglomerate(
-    dist: np.ndarray, gate: Callable[[range, range], bool] | None = None
+    block: Callable[[slice, slice], np.ndarray],
+    n: int,
+    gate: Callable[[range, range], bool] | None = None,
 ) -> tuple[list[Merge], dict, list[tuple[int, int]]]:
-    """Constrained complete-link agglomeration over a square distance matrix.
+    """Constrained complete-link agglomeration of n points in sequence.
+
+    ``block(a, b)`` returns the distances between the points of the slices
+    ``a`` and ``b`` (see :func:`_distance_blocks`); the loop reads only the
+    adjacent pairs and the blocks between adjacent clusters.
 
     Clusters are intervals over 0..n-1.  Each step proposes the adjacent
     pair with the lowest complete-link dissimilarity among the boundaries
@@ -137,11 +159,11 @@ def _agglomerate(
     (leaves 0..n-1, internal n+step) and the surviving intervals in
     sequence order.
     """
-    n = len(dist)
     starts = list(range(n))
     ends = list(range(n))
     ids = list(range(n))
-    adj = np.diagonal(dist, 1).copy()  # link between clusters pos and pos+1
+    # link between clusters pos and pos+1
+    adj = np.array([block(slice(i, i + 1), slice(i + 1, i + 2))[0, 0] for i in range(n - 1)])
     blocked = np.zeros(len(adj), dtype=bool)
     merges: list[Merge] = []
     intervals = {i: (i, i) for i in range(n)}
@@ -167,7 +189,7 @@ def _agglomerate(
         for k in (pos - 1, pos):  # the two links the merge changed
             if 0 <= k < len(adj):
                 a, b = slice(starts[k], ends[k] + 1), slice(starts[k + 1], ends[k + 1] + 1)
-                adj[k] = dist[a, b].max()
+                adj[k] = block(a, b).max()
     return merges, intervals, list(zip(starts, ends))
 
 
@@ -193,7 +215,9 @@ def cluster(points, ids: list[int] | None = None, dist=None) -> Dendrogram:
         raise DimensionMismatch("need at least 2 points to cluster")
     if ids is not None and len(ids) != n:
         raise DimensionMismatch("ids length does not match points")
-    merges, intervals, _ = _agglomerate(_square_for(pts, dist))
+    # the ungated dendrogram reads every pair, so it always gets the matrix
+    square = distance_matrix(pts) if dist is None else dist
+    merges, intervals, _ = _agglomerate(_distance_blocks(pts, square), n)
     return Dendrogram(
         leaves=list(ids) if ids is not None else list(range(n)),
         merges=merges,

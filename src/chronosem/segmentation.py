@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.spatial.distance import squareform
 
 from . import ca
-from .cluster import _agglomerate, _square_for, _validate_points, pdist
+from .cluster import _agglomerate, _distance_blocks, _validate_points, pdist
 from .errors import DimensionMismatch
 
 FUSE = "fuse"
@@ -176,7 +176,9 @@ def segment(
     its permutations from an independently seeded stream (seed, t), so
     replicates may be evaluated in parallel without changing decisions.
     ``dist`` is an optional (n, n) distance matrix of the points, as built
-    by :func:`chronosem.cluster.distance_matrix`; computed when omitted.
+    by :func:`chronosem.cluster.distance_matrix`.  Without it no matrix is
+    built: the links and gates compute only the distance blocks they read,
+    with the same bits the matrix would hold.
     """
     pts = _validate_points(points)
     n = len(pts)
@@ -185,7 +187,7 @@ def segment(
     ids = list(range(n)) if ids is None else list(ids)
     if len(ids) != n:
         raise DimensionMismatch("ids length does not match points")
-    dist = _square_for(pts, dist)
+    block = _distance_blocks(pts, dist)
     tests: list[BoundaryTest] = []
 
     def gate(left: range, right: range) -> bool:
@@ -193,7 +195,7 @@ def segment(
             entropy=config.rng_seed, spawn_key=(len(tests),)
         )
         union = slice(left.start, right.stop)
-        res = _test_from_distances(dist[union, union], len(left), config, seed_seq)
+        res = _test_from_distances(block(union, union), len(left), config, seed_seq)
         tests.append(
             BoundaryTest(
                 left_span=(ids[left[0]], ids[left[-1]]),
@@ -207,7 +209,7 @@ def segment(
         )
         return res.decision == FUSE
 
-    _, _, spans = _agglomerate(dist, gate)
+    _, _, spans = _agglomerate(block, n, gate)
     return SegmentationResult(
         segments=[ids[start : end + 1] for start, end in spans],
         blocked=[t for t in tests if t.decision == BLOCK],

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chronosem import (
     build_vocabulary,
@@ -28,6 +31,14 @@ from oracles import (
 )
 
 DIAG = np.array([[2, 0], [0, 2]])
+
+# small nonnegative count tables with every row and column sum positive
+count_tables = hnp.arrays(
+    np.int64,
+    st.tuples(st.integers(2, 8), st.integers(2, 6)),
+    elements=st.integers(0, 9),
+    fill=st.nothing(),
+).filter(lambda c: c.sum(axis=1).all() and c.sum(axis=0).all())
 
 
 def factor_distance(model, i, k):
@@ -194,6 +205,15 @@ class TestDecompose:
         )
         assert worst < 1e-9
 
+    @given(counts=count_tables)
+    def test_chi2_distance_is_full_space_distance(self, counts):
+        # criterion 3, at the tolerance of the fixed 6x4 example above
+        table, model = fit_ca(counts)
+        n = counts.shape[0]
+        for i in range(n):
+            for k in range(n):
+                assert abs(chi2_distance(table, i, k) - factor_distance(model, i, k)) < 1e-9
+
 
 class TestContributions:
     def test_sum_equals_eigenvalue(self):
@@ -265,6 +285,14 @@ class TestSupplementary:
             for i in range(table.shape[0]):
                 proj = project_supplementary_row(model, table.f[i])
                 assert np.allclose(proj, model.row_coords[i], atol=1e-9)
+
+    @given(counts=count_tables)
+    def test_principal_row_round_trip_property(self, counts):
+        # transition formula, at the tolerance of the fixed examples above
+        table, model = fit_ca(counts)
+        for i in range(table.shape[0]):
+            proj = project_supplementary_row(model, table.f[i])
+            assert np.allclose(proj, model.row_coords[i], atol=1e-9)
 
     def test_principal_col_round_trip(self):
         rng = np.random.default_rng(13)

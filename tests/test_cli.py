@@ -1,7 +1,10 @@
+import errno
 import hashlib
 import importlib
 import json
 import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from chronosem.cli import (
     _HASH_BLOCK,
     UNEXPECTED_ERROR_EXIT,
     PipelineConfig,
+    _format_stripe,
     _Pipeline,
     main,
     run,
@@ -35,6 +39,30 @@ def cli(*argv):
 def _exit_worker(block, ids):
     """Stands in for the stripe formatter: the worker process dies."""
     os._exit(1)
+
+
+_MARKERS = None  # directory in which _marking_worker leaves one file per stripe
+
+
+def _marking_worker(block, ids):
+    """Stands in for the stripe formatter: a slow one that leaves a file
+    per stripe it formats."""
+    (_MARKERS / f"{os.getpid()}-{time.perf_counter_ns()}").touch()
+    time.sleep(0.005)
+    return _format_stripe(block, ids)
+
+
+class _FullDisk:
+    """A text file whose writes fail with ENOSPC after the first few."""
+
+    def __init__(self, fh, writes):
+        self.fh, self.writes = fh, writes
+
+    def write(self, text):
+        self.writes -= 1
+        if self.writes < 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(text)
 
 
 class TestRunAll:
@@ -76,7 +104,10 @@ class TestRunAll:
 class TestSharedDistances:
     @pytest.mark.parametrize(
         "subcommand, dims, builds",
-        [("all", "full", 1), ("all", "plane", 2), ("impact", "full", 1)],
+        [
+            ("all", "full", 1), ("all", "plane", 2), ("impact", "full", 1),
+            ("segment", "full", 0), ("segment", "plane", 0),
+        ],
     )
     def test_distances_built_once_per_view(
         self, tmp_path, monkeypatch, subcommand, dims, builds
@@ -297,6 +328,28 @@ class TestErrors:
         monkeypatch.setattr(cli_module, "_format_stripe", _exit_worker)
         code = cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "x")
         self._assert_unexpected(capfd, code, "BrokenProcessPool")
+
+    def test_failed_write_cancels_queued_stripes(self, tmp_path, capfd, monkeypatch):
+        markers = tmp_path / "formatted"
+        markers.mkdir()
+        monkeypatch.setattr(sys.modules[__name__], "_MARKERS", markers)
+        monkeypatch.setattr(cli_module, "_default_workers", lambda: 2)
+        monkeypatch.setattr(cli_module, "_STRIPE_ROWS", 1)
+        monkeypatch.setattr(cli_module, "_format_stripe", _marking_worker)
+        assert cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "whole") == 0
+        stripes = len(list(markers.iterdir()))
+        for marker in markers.iterdir():
+            marker.unlink()
+
+        dump = cli_module._dump_leaves
+        monkeypatch.setattr(
+            cli_module, "_dump_leaves", lambda fh, *a: dump(_FullDisk(fh, 10), *a)
+        )
+        code = cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "x")
+        payload = self._assert_unexpected(capfd, code, "OSError")
+        assert "No space left on device" in payload["message"]
+        # only the stripes already running or handed to a worker finish
+        assert len(list(markers.iterdir())) < stripes // 4
 
     def test_unexpected_stage_error_exit_5(self, tmp_path, capfd, monkeypatch):
         def broken(self):

@@ -180,6 +180,28 @@ class TestDistanceMatrix:
         monkeypatch.setattr(cluster_module.os, "cpu_count", lambda: cpu_count)
         assert cluster_module._default_workers() == workers
 
+    @pytest.mark.parametrize("shape, cols", [((60, 50), slice(None)), ((40, 6), slice(0, 2))])
+    def test_blocks_equal_matrix_bit_for_bit(self, shape, cols):
+        rng = np.random.default_rng(shape[1])
+        pts = rng.standard_normal(shape)[:, cols]
+        square = distance_matrix(pts)
+        readers = [cluster_module._distance_blocks(pts), cluster_module._distance_blocks(pts, square)]
+        n = len(pts)
+        pairs = [
+            (slice(3, 4), slice(4, 5)),  # one adjacent pair
+            (slice(0, n), slice(0, n)),  # the whole matrix
+            (slice(5, 5), slice(0, 9)),  # an empty slice
+            (slice(7, 8), slice(0, n)),  # one row against all
+        ]
+        for _ in range(30):
+            a, b, c, d = sorted(rng.integers(0, n + 1, size=4).tolist())
+            pairs += [(slice(a, b), slice(c, d)), (slice(c, d), slice(a, b))]
+        for a, b in pairs:
+            for block in readers:
+                got = block(a, b)
+                assert got.shape == square[a, b].shape
+                assert np.array_equal(got, square[a, b])
+
     def test_given_matrix_is_used_and_checked(self):
         pts = np.random.default_rng(2).standard_normal((12, 3))
         dendro = cluster(pts, dist=distance_matrix(pts))

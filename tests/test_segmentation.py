@@ -19,7 +19,8 @@ from chronosem.segmentation import (
     _coded_matrix,
     _test_from_distances,
 )
-from helpers import docs_from_rows, synthetic_corpus_rows, three_blob_points
+from chronosem.cluster import distance_matrix
+from helpers import docs_from_rows, scale_corpus_rows, synthetic_corpus_rows, three_blob_points
 from oracles import (
     constrained_complete_link_bruteforce,
     exhaustive_perm_p,
@@ -196,6 +197,26 @@ class TestSegment:
                 assert res.segments == [
                     list(range(lo, hi)) for lo, hi in zip([0] + cuts, cuts + [n])
                 ]
+
+    @pytest.mark.parametrize("cloud", ["ca_rows", "random"])
+    def test_on_demand_blocks_equal_shared_matrix(self, cloud):
+        if cloud == "ca_rows":
+            docs = docs_from_rows(scale_corpus_rows(n_blocks=4))
+            tdm = threshold_matrix(docs, build_vocabulary(docs), 5, 5)
+            pts = fit_ca(tdm.principal_counts())[1].row_coords
+        else:
+            pts = np.random.default_rng(5).standard_normal((300, 50))
+        cfg = PermTestConfig(alpha=0.15, n_permutations=300, rng_seed=4)
+        on_demand = segment(pts, cfg)
+        shared = segment(pts, cfg, dist=distance_matrix(pts))
+        assert on_demand.tests == shared.tests  # every BoundaryTest field
+        assert on_demand.blocked == shared.blocked
+        assert on_demand.segments == shared.segments
+
+    def test_given_matrix_is_checked(self):
+        pts = np.random.default_rng(6).standard_normal((8, 3))
+        with pytest.raises(DimensionMismatch):
+            segment(pts, dist=distance_matrix(pts[:-1]))
 
     def test_one_point_is_one_segment(self):
         res = segment(np.ones((1, 3)), PermTestConfig(rng_seed=0), ids=[7])
