@@ -69,18 +69,19 @@ def normalize(counts) -> ProbabilityTable:
     :class:`ZeroMarginError` when the grand total, a row sum or a column sum
     is zero.
     """
+    # one float table, divided in place; a dense input is copied, never changed
     if sp.issparse(counts):
-        dense = np.asarray(counts.todense(), dtype=float)
+        f = sp.csr_array(counts, dtype=float).toarray()
     else:
-        dense = np.asarray(counts, dtype=float)
-    if dense.ndim != 2:
+        f = np.array(counts, dtype=float)
+    if f.ndim != 2:
         raise ZeroMarginError("count table must be two-dimensional")
-    if np.any(dense < 0):
+    if np.any(f < 0):
         raise ZeroMarginError("count table must be nonnegative")
-    grand = dense.sum()
+    grand = f.sum()
     if grand <= 0:
         raise ZeroMarginError("count table has zero grand total")
-    f = dense / grand
+    f /= grand
     r = f.sum(axis=1)
     c = f.sum(axis=0)
     if np.any(r <= 0):
@@ -116,9 +117,12 @@ def total_inertia(table: ProbabilityTable) -> float:
 
 def standardized_residuals(table: ProbabilityTable) -> np.ndarray:
     """(f_ij - f_i f_j) / sqrt(f_i f_j); its squared Frobenius norm is the
-    total inertia."""
+    total inertia.  Formed in two n×p buffers, with the same operations as
+    ``(f - expected) / sqrt(expected)``."""
     expected = np.outer(table.row_masses, table.col_masses)
-    return (table.f - expected) / np.sqrt(expected)
+    z = table.f - expected
+    z /= np.sqrt(expected, out=expected)
+    return z
 
 
 def decompose(table: ProbabilityTable, tol: float | None = None) -> CAModel:
@@ -142,6 +146,7 @@ def decompose(table: ProbabilityTable, tol: float | None = None) -> CAModel:
         raise ConvergenceError(f"SVD failed: {exc}") from exc
     if not all(np.isfinite(a).all() for a in (u, sing, vt)):
         raise ConvergenceError("SVD returned a non-finite value")
+    del z  # LAPACK worked on its own copy
 
     n, p = table.shape
     max_rank = max(min(n - 1, p - 1), 0)

@@ -136,10 +136,35 @@ def _distance_blocks(pts: np.ndarray, dist=None) -> Callable[[slice, slice], np.
     return lambda a, b: cdist(rows[a], rows[b])
 
 
+def _upcoming(heights: np.ndarray, pos: int, starts: list, ends: list, k: int) -> list:
+    """``(start, split, stop)`` of up to k boundaries the loop will most
+    likely propose after the one at ``pos``, in order: the groups
+    ``start..split-1`` and ``split..stop-1``.
+
+    The loop proposes the lowest unblocked link, and a merge changes only
+    the two links beside it, which can only grow.  So the guess is the
+    next-lowest links in order, assuming each proposal merges: a link
+    beside an earlier proposal is skipped, as its members and height will
+    change.  A wrong guess costs time, never a result.
+    """
+    window = min(len(heights), 4 * k)
+    near = np.argpartition(heights, window - 1)[:window]
+    near = near[np.lexsort((near, heights[near]))]
+    changing = {pos - 1, pos, pos + 1}
+    ahead = []
+    for q, height in zip(near.tolist(), heights[near].tolist()):
+        if len(ahead) == k or height == np.inf:
+            break
+        if q not in changing:
+            ahead.append((starts[q], starts[q + 1], ends[q + 1] + 1))
+            changing.update((q - 1, q + 1))
+    return ahead
+
+
 def _agglomerate(
     block: Callable[[slice, slice], np.ndarray],
     n: int,
-    gate: Callable[[range, range], bool] | None = None,
+    gate: Callable[[range, range, Callable[[int], list]], bool] | None = None,
 ) -> tuple[list[Merge], dict, list[tuple[int, int]]]:
     """Constrained complete-link agglomeration of n points in sequence.
 
@@ -150,10 +175,12 @@ def _agglomerate(
     Clusters are intervals over 0..n-1.  Each step proposes the adjacent
     pair with the lowest complete-link dissimilarity among the boundaries
     not yet blocked; ``argmin`` returns the first minimum, so ties break
-    toward the earliest pair.  ``gate(left, right)`` receives the two
-    member ranges and returns True to merge or False to block that
-    boundary for good; without a gate every proposal merges.  Stops when
-    one cluster remains or every boundary is blocked.
+    toward the earliest pair.  ``gate(left, right, upcoming)`` receives the
+    two member ranges and returns True to merge or False to block that
+    boundary for good; without a gate every proposal merges.
+    ``upcoming(k)`` lists the k proposals most likely to follow (see
+    :func:`_upcoming`), so a gate may test them ahead.  Stops when one
+    cluster remains or every boundary is blocked.
 
     Returns the merges, the interval ``(start, end)`` of every cluster id
     (leaves 0..n-1, internal n+step) and the surviving intervals in
@@ -162,34 +189,35 @@ def _agglomerate(
     starts = list(range(n))
     ends = list(range(n))
     ids = list(range(n))
-    # link between clusters pos and pos+1
-    adj = np.array([block(slice(i, i + 1), slice(i + 1, i + 2))[0, 0] for i in range(n - 1)])
-    blocked = np.zeros(len(adj), dtype=bool)
+    # link between clusters pos and pos+1; distances are finite (see
+    # _validate_points), so inf marks a blocked boundary, whose link is
+    # never read again
+    links = np.array([block(slice(i, i + 1), slice(i + 1, i + 2))[0, 0] for i in range(n - 1)])
     merges: list[Merge] = []
     intervals = {i: (i, i) for i in range(n)}
-    while len(adj):
-        # distances are finite (see _validate_points), so inf only masks
-        pos = int(np.argmin(np.where(blocked, np.inf, adj)))
-        if blocked[pos]:
+    while len(links):
+        pos = int(np.argmin(links))
+        if links[pos] == np.inf:
             break
         left = range(starts[pos], ends[pos] + 1)
         right = range(starts[pos + 1], ends[pos + 1] + 1)
-        if gate is not None and not gate(left, right):
-            blocked[pos] = True
+        if gate is not None and not gate(
+            left, right, lambda k: _upcoming(links, pos, starts, ends, k)
+        ):
+            links[pos] = np.inf
             continue
         merges.append(
-            Merge(ids[pos], ids[pos + 1], float(adj[pos]), len(left) + len(right))
+            Merge(ids[pos], ids[pos + 1], float(links[pos]), len(left) + len(right))
         )
         ends[pos] = ends[pos + 1]
         ids[pos] = n + len(merges) - 1
         intervals[ids[pos]] = (starts[pos], ends[pos])
         del starts[pos + 1], ends[pos + 1], ids[pos + 1]
-        adj = np.delete(adj, pos)
-        blocked = np.delete(blocked, pos)
+        links = np.delete(links, pos)
         for k in (pos - 1, pos):  # the two links the merge changed
-            if 0 <= k < len(adj):
+            if 0 <= k < len(links) and links[k] != np.inf:
                 a, b = slice(starts[k], ends[k] + 1), slice(starts[k + 1], ends[k + 1] + 1)
-                adj[k] = block(a, b).max()
+                links[k] = block(a, b).max()
     return merges, intervals, list(zip(starts, ends))
 
 

@@ -21,7 +21,7 @@ from chronosem.cli import (
     run,
 )
 from chronosem.errors import ConfigError
-from helpers import SYNTHETIC3, synthetic_corpus_rows, write_corpus_csv
+from helpers import SYNTHETIC3, scale_corpus_rows, synthetic_corpus_rows, write_corpus_csv
 
 ALL_ARTIFACTS = {
     "matrix.csv", "matrix_roles.json", "vocab.csv",
@@ -39,6 +39,23 @@ def cli(*argv):
 def _exit_worker(block, ids):
     """Stands in for the stripe formatter: the worker process dies."""
     os._exit(1)
+
+
+def _pooled_gates(monkeypatch, workers):
+    """Run segment's gates on a pool of ``workers`` at any corpus size;
+    returns the list that counts the results the workers send back."""
+    monkeypatch.setattr(segmentation, "_POOL_MIN_DRAWS", 0)
+    for module in (cli_module, segmentation):
+        monkeypatch.setattr(module, "_default_workers", lambda: workers)
+    collected = []
+    collect = segmentation._GatePool._collect
+
+    def counted(pool, w):
+        collect(pool, w)
+        collected.append(w)
+
+    monkeypatch.setattr(segmentation._GatePool, "_collect", counted)
+    return collected
 
 
 _MARKERS = None  # directory in which _marking_worker leaves one file per stripe
@@ -137,6 +154,29 @@ class TestSharedDistances:
             assert names
             for name in names:
                 assert (out / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+    def test_gate_pool_artifacts_independent_of_worker_count(self, tmp_path, monkeypatch):
+        path = write_corpus_csv(scale_corpus_rows(n_blocks=4), tmp_path / "blocks.csv")
+        outputs = {}
+        collected = _pooled_gates(monkeypatch, 1)
+        for workers in (1, 2, 3):
+            for module in (cli_module, segmentation):
+                monkeypatch.setattr(module, "_default_workers", lambda: workers)
+            collected.clear()
+            for sub in ("segment", "all"):
+                out = tmp_path / f"{sub}{workers}"
+                assert cli(sub, "--input", path, "--out", out, "--permutations", 500) == 0
+                outputs[sub, workers] = {
+                    p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"
+                }
+                outputs[sub, workers]["manifest.json"] = json.loads(
+                    (out / "manifest.json").read_text()
+                )["artifacts"]
+            assert bool(collected) == (workers > 1)
+        for sub in ("segment", "all"):
+            assert "segments.json" in outputs[sub, 1]
+            assert outputs[sub, 2] == outputs[sub, 1]
+            assert outputs[sub, 3] == outputs[sub, 1]
 
     def test_manifest_hashes_files_larger_than_one_block(self, tmp_path):
         pipe = _Pipeline(PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path)))
@@ -328,6 +368,22 @@ class TestErrors:
         monkeypatch.setattr(cli_module, "_format_stripe", _exit_worker)
         code = cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "x")
         self._assert_unexpected(capfd, code, "BrokenProcessPool")
+
+    def test_dead_gate_worker_exit_5(self, tmp_path, capfd, monkeypatch):
+        import multiprocessing
+
+        collected = _pooled_gates(monkeypatch, 2)
+        parent, gate = os.getpid(), segmentation._gate
+
+        def dying(block, config, key):
+            if os.getpid() != parent:
+                os._exit(1)
+            return gate(block, config, key)
+
+        monkeypatch.setattr(segmentation, "_gate", dying)
+        code = cli("segment", "--input", SYNTHETIC3, "--out", tmp_path / "x")
+        self._assert_unexpected(capfd, code, "BrokenProcessPool")
+        assert collected == [] and multiprocessing.active_children() == []
 
     def test_failed_write_cancels_queued_stripes(self, tmp_path, capfd, monkeypatch):
         markers = tmp_path / "formatted"

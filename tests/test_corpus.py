@@ -1,8 +1,15 @@
+import csv
+import io
 import json
+import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronosem import (
     DEFAULT_STOPWORDS,
@@ -344,3 +351,136 @@ class TestCorpusIO:
         for r, c, v in triples:
             dense[r, c] = v
         assert np.array_equal(dense, np.asarray(tdm.counts.todense()))
+
+
+# text of any Unicode scalar values (UTF-8 cannot hold lone surrogates)
+_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+@st.composite
+def _records(draw):
+    """Strictly increasing seq_nos with random texts, flags and campaigns."""
+    gaps = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=8))
+    seq_nos = np.cumsum(gaps).tolist()
+    docs = []
+    for seq_no in seq_nos:
+        initiating = draw(st.booleans())
+        campaign = draw(st.integers(0, 10**6) if initiating else st.none() | st.integers(0, 10**6))
+        docs.append(Document(seq_no, draw(_texts), initiating, campaign))
+    return docs
+
+
+def _csv_bytes(docs, flags, extra=()):
+    """CSV with the csv module's CRLF rows, so a text holding CR or LF is
+    quoted; ``extra`` fields go on the last row."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["seq_no", "text", "is_initiating", "campaign"])
+    for k, d in enumerate(docs, start=1):
+        campaign = "" if d.campaign is None else d.campaign
+        tail = extra if k == len(docs) else ()
+        writer.writerow([d.seq_no, d.raw_text, flags[d.is_initiating], campaign, *tail])
+    return out.getvalue().encode("utf-8")
+
+
+def _jsonl_bytes(docs, ensure_ascii):
+    lines = [
+        json.dumps(
+            {"seq_no": d.seq_no, "text": d.raw_text, "is_initiating": d.is_initiating,
+             "campaign": d.campaign},
+            ensure_ascii=ensure_ascii,
+        )
+        for d in docs
+    ]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _load(name, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        try:
+            return load_corpus(path)
+        except CorpusFormatError as exc:
+            # the message names the file, and the line after it
+            prefix = re.escape(str(path))
+            assert re.match(rf"{prefix}:(\d+:|\s)", str(exc)), str(exc)
+            raise CorpusFormatError(str(exc).replace(str(path), name, 1)) from None
+
+
+class TestCorpusProperties:
+    @given(
+        docs=_records(),
+        flags=st.sampled_from([("0", "1"), ("false", "true"), ("False", "True"), ("", "1")]),
+    )
+    def test_csv_round_trip(self, docs, flags):
+        assert _load("c.csv", _csv_bytes(docs, flags)) == docs
+
+    @given(docs=_records(), ensure_ascii=st.booleans(), suffix=st.sampled_from(["jsonl", "json"]))
+    def test_jsonl_round_trip(self, docs, ensure_ascii, suffix):
+        assert _load(f"c.{suffix}", _jsonl_bytes(docs, ensure_ascii)) == docs
+
+    @given(docs=_records(), where=st.integers(0, 10**6), data=st.data())
+    def test_non_utf8_names_its_line(self, docs, where, data):
+        good = data.draw(st.sampled_from([_csv_bytes(docs, ("0", "1")), _jsonl_bytes(docs, False)]))
+        bad_byte = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]))
+        cut = where % (len(good) + 1)
+        # keep a multi-byte character whole, so the bad byte is the first error
+        while cut < len(good) and (good[cut] & 0xC0) == 0x80:
+            cut += 1
+        line = good.count(b"\n", 0, cut) + 1
+        name = "c.csv" if good.startswith(b"seq_no") else "c.jsonl"
+        with pytest.raises(CorpusFormatError, match=rf"^{name}:{line}: not valid UTF-8"):
+            _load(name, good[:cut] + bad_byte + good[cut:])
+
+    @given(docs=_records(), where=st.integers(0, 10**6), data=st.data())
+    def test_malformed_record_names_its_line(self, docs, where, data):
+        k = where % len(docs)
+        if data.draw(st.booleans()):
+            # record k gets a fifth field; the csv reader numbers a record by
+            # its last line, and a quoted CR or LF starts a line
+            name, bad = "c.csv", _csv_bytes(docs[: k + 1], ("0", "1"), extra=["extra"])
+            line = len(io.StringIO(bad.decode(), newline="").readlines())
+        else:
+            name, lines = "c.jsonl", _jsonl_bytes(docs, False).split(b"\n")
+            lines[k] = lines[k][:-1]  # drop the closing brace
+            bad, line = b"\n".join(lines), k + 1
+        with pytest.raises(CorpusFormatError, match=rf"^{name}:{line}: "):
+            _load(name, bad)
+
+    @settings(max_examples=300)
+    @given(data=st.binary(max_size=200), suffix=st.sampled_from(["csv", "jsonl"]))
+    def test_any_bytes_load_or_raise_corpus_format_error(self, data, suffix):
+        header = b"seq_no,text,is_initiating,campaign\n" if suffix == "csv" else b""
+        try:
+            docs = _load(f"c.{suffix}", header + data)
+        except CorpusFormatError:
+            return
+        assert docs and all(isinstance(d, Document) for d in docs)
+
+
+class TestTokenizeProperties:
+    @given(text=_texts)
+    def test_tokens_are_kept_lowercase_words(self, text):
+        for tok in tokenize(text):
+            assert re.fullmatch(r"[a-z]{2,}", tok)
+            assert tok not in DEFAULT_STOPWORDS
+
+    @given(text=_texts)
+    def test_idempotent_on_own_output(self, text):
+        tokens = tokenize(text)
+        assert tokenize(" ".join(tokens)) == tokens
+
+    @given(a=_texts, b=_texts, sep=st.sampled_from([" ", "!", "\n", "3", "#", "\u00e9"]))
+    def test_non_letters_split_text(self, a, b, sep):
+        # no token and no "&amp;" spans a non-letter separator
+        assert tokenize(a + " " + sep + " " + b) == tokenize(a) + tokenize(b)
+
+    @given(text=_texts)
+    def test_matches_regex_oracle(self, text):
+        words = re.findall(r"[a-z]+", text.replace("&amp;", "and").lower())
+        expected = [
+            w for w in words
+            if len(w) >= 2 and w not in DEFAULT_STOPWORDS and w not in {"ll", "s", "t"}
+        ]
+        assert tokenize(text) == expected

@@ -1,3 +1,12 @@
+import multiprocessing
+import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -223,6 +232,175 @@ class TestSegment:
         assert res.segments == [[7]] and res.tests == [] and res.blocked == []
         with pytest.raises(DimensionMismatch):
             segment(np.ones((0, 3)))
+
+
+def _pool_clouds():
+    docs = docs_from_rows(scale_corpus_rows(n_blocks=4))
+    tdm = threshold_matrix(docs, build_vocabulary(docs), 5, 5)
+    yield "ca_rows", fit_ca(tdm.principal_counts())[1].row_coords
+    rng = np.random.default_rng(8)
+    yield "random", rng.standard_normal((120, 6)) + 2.0 * (np.arange(120) // 15)[:, None]
+
+
+class TestGatePool:
+    """The gates computed ahead on forked workers give the inline results."""
+
+    CFG = PermTestConfig(alpha=0.15, n_permutations=300, rng_seed=9)
+
+    @pytest.fixture
+    def pooled(self, monkeypatch):
+        """Run every segment() below through the pool; returns the number of
+        results collected from the workers."""
+        monkeypatch.setattr(segmentation, "_POOL_MIN_DRAWS", 0)
+        collected = []
+        collect = segmentation._GatePool._collect
+
+        def counted(pool, w):
+            collect(pool, w)
+            collected.append(w)
+
+        monkeypatch.setattr(segmentation._GatePool, "_collect", counted)
+        return collected
+
+    def _segment(self, monkeypatch, pts, workers):
+        monkeypatch.setattr(segmentation, "_default_workers", lambda: workers)
+        return segment(pts, self.CFG)
+
+    @pytest.mark.parametrize("name, pts", list(_pool_clouds()))
+    def test_equal_to_inline_at_any_worker_count(self, monkeypatch, pooled, name, pts):
+        inline = self._segment(monkeypatch, pts, 1)
+        assert pooled == []
+        for workers in (2, 3):
+            got = self._segment(monkeypatch, pts, workers)
+            assert got.tests == inline.tests  # every BoundaryTest field
+            assert got.blocked == inline.blocked
+            assert got.segments == inline.segments
+        assert len(set(pooled)) == 3  # every worker of both pools gave results
+
+    def test_wrong_guesses_change_nothing(self, monkeypatch, pooled):
+        pts = dict(_pool_clouds())["random"]
+        inline = self._segment(monkeypatch, pts, 1)
+        cluster_module = sys.modules["chronosem.cluster"]
+        n = len(pts)
+
+        def wrong(heights, pos, starts, ends, k):
+            # valid unions of 3..5 points that the loop never proposes next
+            return [(i, i + 1, i + 3 + i % 3) for i in range(n - 8, n - 8 - k, -1)]
+
+        monkeypatch.setattr(cluster_module, "_upcoming", wrong)
+        got = self._segment(monkeypatch, pts, 2)
+        assert pooled  # the workers computed the wrong guesses
+        assert got.tests == inline.tests
+        assert got.blocked == inline.blocked
+        assert got.segments == inline.segments
+
+    def test_no_child_left_after_return_or_raise(self, monkeypatch, pooled):
+        pts = dict(_pool_clouds())["random"]
+        self._segment(monkeypatch, pts, 2)
+        assert pooled and multiprocessing.active_children() == []
+
+        gate = segmentation._gate
+
+        def failing(block, config, key):
+            if key[3] == 40:
+                raise FloatingPointError("gate 40 failed")
+            return gate(block, config, key)
+
+        monkeypatch.setattr(segmentation, "_gate", failing)
+        with pytest.raises(FloatingPointError, match="gate 40"):
+            self._segment(monkeypatch, pts, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_broken_pool(self, monkeypatch, pooled):
+        from concurrent.futures.process import BrokenProcessPool
+
+        pts = dict(_pool_clouds())["random"]
+        parent, gate = os.getpid(), segmentation._gate
+
+        def dying(block, config, key):
+            if os.getpid() != parent:
+                os._exit(1)
+            return gate(block, config, key)
+
+        monkeypatch.setattr(segmentation, "_gate", dying)
+        with pytest.raises(BrokenProcessPool):
+            self._segment(monkeypatch, pts, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch, pooled):
+        pts = dict(_pool_clouds())["random"]
+        inline = self._segment(monkeypatch, pts, 1)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            got = self._segment(monkeypatch, pts, 2)
+        finally:
+            release.set()
+            other.join()
+        assert pooled == []  # computed inline
+        assert got.tests == inline.tests
+
+    def test_workers_exit_when_the_loop_process_dies(self):
+        # the worker processes inherit the write end of a pipe; it reads end
+        # of file once the killed loop process and every worker have exited
+        script = textwrap.dedent("""
+            import sys, time
+            import numpy as np
+            from chronosem import segmentation as S
+            S._POOL_MIN_DRAWS = 0
+            S._default_workers = lambda: 2
+            call = S._GatePool.__call__
+            def stalled(pool, key, ahead):
+                if key[3] == 30:
+                    print("running", flush=True)
+                    time.sleep(120)
+                return call(pool, key, ahead)
+            S._GatePool.__call__ = stalled
+            pts = np.random.default_rng(8).standard_normal((120, 6))
+            S.segment(pts, S.PermTestConfig(n_permutations=300))
+        """)
+        src = os.path.dirname(os.path.dirname(segmentation.__file__))
+        read_end, write_end = os.pipe()
+        loop = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, pass_fds=(write_end,),
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        os.close(write_end)
+        try:
+            assert loop.stdout.readline() == b"running\n"
+            loop.send_signal(signal.SIGKILL)
+            loop.wait(10)
+            assert select.select([read_end], [], [], 10)[0], "a gate worker outlived its loop"
+            assert os.read(read_end, 1) == b""
+        finally:
+            loop.kill()
+            loop.stdout.close()
+            os.close(read_end)
+
+    def test_daemon_process_computes_inline(self, monkeypatch, pooled):
+        # a daemon process may not start children, so its gates run inline
+        pts = dict(_pool_clouds())["random"]
+        inline = self._segment(monkeypatch, pts, 1)
+        monkeypatch.setattr(segmentation, "_default_workers", lambda: 2)
+        ctx = multiprocessing.get_context("fork")
+        here, there = ctx.Pipe()
+        child = ctx.Process(
+            target=lambda: there.send(segment(pts, self.CFG).tests), daemon=True
+        )
+        child.start()
+        assert here.poll(60)
+        assert here.recv() == inline.tests
+        child.join(10)
+        assert child.exitcode == 0
+
+    def test_small_runs_stay_inline(self, monkeypatch):
+        monkeypatch.setattr(segmentation, "_default_workers", lambda: 2)
+        monkeypatch.setattr(segmentation, "_GatePool", None)  # would fail if used
+        pts = dict(_pool_clouds())["random"]
+        assert (len(pts) - 1) * 5000 < segmentation._POOL_MIN_DRAWS
+        res = segment(pts, PermTestConfig(rng_seed=2))
+        assert len(res.tests) == len(pts) - res.n_segments + len(res.blocked)
 
 
 class TestCodedMatrix:
