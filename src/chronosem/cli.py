@@ -19,7 +19,7 @@ import json
 import platform
 import sys
 from dataclasses import dataclass
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from functools import cached_property
 from pathlib import Path
 
@@ -27,8 +27,8 @@ import numpy as np
 import scipy
 
 from . import __version__, ca, corpus, impact, segmentation
+from ._workers import solver
 from .cluster import cluster as build_dendrogram
-from .cluster import _default_workers
 from .cluster import dendrogram_csv_rows, dendrogram_json_dict, distance_matrix, to_newick
 from .errors import ChronosemError, ConfigError
 
@@ -135,32 +135,6 @@ def _format_stripe(block: np.ndarray, ids) -> tuple[str, str]:
     return ", ".join(rows), "\n".join(lines).replace(", ", ",") + "\n"
 
 
-@contextmanager
-def _stripe_map():
-    """The ``map`` that formats stripes: ``pool.map`` on a pool of
-    ``_default_workers()`` forked processes, or builtin ``map`` when there
-    is one worker or no ``fork``.
-
-    ``repr`` holds the interpreter lock, so threads would not run it in
-    parallel.  Forked workers leave through ``os._exit``, so they never
-    flush the parent's open files.  When the caller fails, the stripes not
-    yet started are cancelled before the error propagates.
-    """
-    import multiprocessing  # imported here, so the CLI's start-up does not pay for it
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    workers = _default_workers()
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        yield map
-        return
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            yield pool.map
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
 def _pieces(obj, path: tuple = ()):
     """``json.dumps(obj, sort_keys=True)`` as a sequence of strings, with a
     ``(key path, array)`` pair in place of each 2-D float array."""
@@ -176,41 +150,46 @@ def _pieces(obj, path: tuple = ()):
         yield json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
 
 
-def _dump_leaves(fh, obj, fmt, csvs=None) -> None:
+def _dump_leaves(fh, obj, csvs=None) -> None:
     """Write ``json.dumps(obj, sort_keys=True)`` to ``fh`` one leaf at a time.
 
     Dicts are written key by key in sorted order.  Every 2-D float array is
-    cut into stripes of ``_STRIPE_ROWS`` rows, all of them are handed to
-    ``fmt`` (builtin ``map`` or a pool's, see :func:`_stripe_map`) with
-    :func:`_format_stripe`, and each stripe is written as its result
-    arrives, in order.  The rows of an array whose key path is in ``csvs``
-    also go, as CSV lines, to the open file of ``csvs[path] = (file, ids)``.
-    Any other leaf goes through the C encoder (an ndarray after
-    ``.tolist()``).  Floats must be finite, as ``repr`` and JSON differ on
-    NaN and inf.
+    cut into stripes of ``_STRIPE_ROWS`` rows, formatted by
+    :func:`_format_stripe` ahead of the writer on the run's worker pool
+    (see :func:`chronosem._workers.solver`; ``repr`` holds the interpreter
+    lock, so threads would not run it in parallel), and each stripe is
+    written as its result arrives, in order.  The rows of an array whose
+    key path is in ``csvs`` also go, as CSV lines, to the open file of
+    ``csvs[path] = (file, ids)``.  Any other leaf goes through the C
+    encoder (an ndarray after ``.tolist()``).  Floats must be finite, as
+    ``repr`` and JSON differ on NaN and inf.
     """
     csvs = csvs or {}
     pieces = list(_pieces(obj))
     stripes = [
-        (path, a, table[a : a + _STRIPE_ROWS])
+        (
+            table[a : a + _STRIPE_ROWS],
+            csvs[path][1][a : a + _STRIPE_ROWS] if path in csvs else None,
+        )
         for path, table in (p for p in pieces if isinstance(p, tuple))
         for a in range(0, len(table), _STRIPE_ROWS)
     ]
-    blocks = [block for _, _, block in stripes]
-    ids = [csvs[path][1][a : a + _STRIPE_ROWS] if path in csvs else None for path, a, _ in stripes]
-    results = iter(fmt(_format_stripe, blocks, ids))
-    for piece in pieces:
-        if isinstance(piece, str):
-            fh.write(piece)
-            continue
-        path, table = piece
-        fh.write("[")
-        for a in range(0, len(table), _STRIPE_ROWS):
-            text, lines = next(results)
-            fh.write(f"{', ' if a else ''}{text}")
-            if path in csvs:
-                csvs[path][0].write(lines)
-        fh.write("]")
+    n = len(stripes)
+    # the workers fork after the stripes exist, so only indices cross the pipes
+    with solver(lambda i: _format_stripe(*stripes[i]), True) as solve:
+        results = (solve(i, lambda: range(i, n)) for i in range(n))
+        for piece in pieces:
+            if isinstance(piece, str):
+                fh.write(piece)
+                continue
+            path, table = piece
+            fh.write("[")
+            for a in range(0, len(table), _STRIPE_ROWS):
+                text, lines = next(results)
+                fh.write(f"{', ' if a else ''}{text}")
+                if path in csvs:
+                    csvs[path][0].write(lines)
+            fh.write("]")
 
 
 class _Pipeline:
@@ -286,14 +265,13 @@ class _Pipeline:
         header = ",".join(["id"] + [f"f{s + 1}" for s in range(model.n_factors)]) + "\n"
         paths = {c: self.out / f"model_{c}.csv" for c in ("rows", "cols")}
         with ExitStack() as stack:
-            fmt = stack.enter_context(_stripe_map())
             csvs = {}
             for c, path in paths.items():
                 out = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
                 out.write(header)
                 csvs[(c, "coords")] = (out, export[c]["ids"])
             fh = stack.enter_context(open(self.out / "model.json", "w", encoding="utf-8"))
-            _dump_leaves(fh, export, fmt, csvs)
+            _dump_leaves(fh, export, csvs)
             fh.write("\n")
         self.artifacts += [self.out / "model.json", *paths.values()]
 

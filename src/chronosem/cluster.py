@@ -10,7 +10,6 @@ constraint.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist, squareform
 
+from ._workers import _default_workers
 from .errors import DimensionMismatch, InvalidK
 
 
@@ -57,15 +57,6 @@ def _validate_points(points) -> np.ndarray:
 
 
 _STRIPES = 64  # row stripes of the distance vector, about equal in pairs
-_MAX_WORKERS = 4  # measured only up to 2 cores
-
-
-def _default_workers() -> int:
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cores = os.cpu_count() or 1
-    return min(cores, _MAX_WORKERS)
 
 
 def pdist(points) -> np.ndarray:

@@ -339,13 +339,14 @@ def merge_adjacent_initiating(docs: Sequence[Document]) -> list[Document]:
 
 
 def _read_text(path: Path) -> str:
-    """The file's text; a byte sequence that is not UTF-8 raises
-    :class:`CorpusFormatError` naming ``path:line``."""
-    data = path.read_bytes()
+    """The file's text, without a leading byte-order mark; a byte sequence
+    that is not UTF-8 raises :class:`CorpusFormatError` naming
+    ``path:line``."""
     try:
-        return data.decode("utf-8")
+        return path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # exc.object holds the bytes after the mark, which has no newline
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
 
 
@@ -375,9 +376,14 @@ def _read_records(path: Path):
             yield reader.line_num, rec
 
 
-def _int_field(value) -> int:
-    """An integer written as such: rejects 1.0, 1.5 and booleans."""
-    return int(str(value))
+def _id_field(name: str, value) -> int:
+    """A nonnegative int64 written as an integer: rejects 1.0, 1.5,
+    booleans, and ids that are negative or do not fit the int64 arrays of
+    :class:`TermDocMatrix` (whose campaigns mark "none" with -1)."""
+    n = int(str(value))
+    if not 0 <= n < 2**63:
+        raise ValueError(f"{name} {n} outside 0..2**63-1")
+    return n
 
 
 _FLAGS = {
@@ -399,7 +405,8 @@ def load_corpus(path: str | Path) -> list[Document]:
 
     Expected fields: ``seq_no``, ``text``, ``is_initiating`` (0/1/true/false,
     empty means false) and ``campaign`` (int, may be empty; required when
-    ``is_initiating`` is set).  Seq_nos must be strictly increasing.
+    ``is_initiating`` is set).  Both ids are nonnegative and fit int64, and
+    seq_nos must be strictly increasing.
     Any record that breaks this layout raises :class:`CorpusFormatError`
     naming ``path:line``.
     """
@@ -408,14 +415,14 @@ def load_corpus(path: str | Path) -> list[Document]:
     prev = None
     for line, rec in _read_records(path):
         try:
-            seq_no = _int_field(rec["seq_no"])
+            seq_no = _id_field("seq_no", rec["seq_no"])
             text = rec["text"]
             if text is None:
                 raise ValueError("text is missing")
             init = _flag_field(rec.get("is_initiating"))
             camp = rec.get("campaign")
             campaign = (
-                None if camp is None or str(camp).strip() == "" else _int_field(camp)
+                None if camp is None or str(camp).strip() == "" else _id_field("campaign", camp)
             )
             if init and campaign is None:
                 raise ValueError("initiating documents need a campaign id")

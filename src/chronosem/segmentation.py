@@ -13,10 +13,7 @@ statistically homogeneous segments.
 
 from __future__ import annotations
 
-import select
-import threading
 from collections.abc import Callable
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +21,8 @@ from scipy import sparse
 from scipy.spatial.distance import squareform
 
 from . import ca
-from .cluster import _agglomerate, _default_workers, _distance_blocks, _validate_points, pdist
+from ._workers import solver
+from .cluster import _agglomerate, _distance_blocks, _validate_points, pdist
 from .errors import DimensionMismatch
 
 FUSE = "fuse"
@@ -165,13 +163,12 @@ def perm_test(
     )
 
 
-# a gate is named by its key (start, split, stop, t): the union
+# a gate is named by its key (t, start, split, stop): the union
 # start..stop-1 of two adjacent groups split before `split`, tested as the
 # t-th gate of the run, which seeds its draws with (rng_seed, t)
 GateKey = tuple[int, int, int, int]
 
 _LOOKAHEAD = 8  # predicted proposals offered to the workers at each gate
-_DEPTH = 2  # gates handed to one worker and not yet collected
 # below this many draws ((n - 1) gates at most, times the permutations) the
 # forks cost more than they save: on 2 cores the pool was slower at 500
 # points, even at 1k and faster at 2k, at 5000 permutations
@@ -179,163 +176,10 @@ _POOL_MIN_DRAWS = 5_000_000
 
 
 def _gate(block: Callable, config: PermTestConfig, key: GateKey) -> PermTestResult:
-    start, split, stop, t = key
+    t, start, split, stop = key
     union = slice(start, stop)
     seed_seq = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(t,))
     return _test_from_distances(block(union, union), split - start, config, seed_seq)
-
-
-def _serve_gates(conn, parent_ends: list, block: Callable, config: PermTestConfig) -> None:
-    """A worker process: compute the gate of each key received, send back
-    ``(key, result)``; an exception is sent back as the result.
-
-    The fork copied the loop's ends of the pipes made so far, this
-    worker's own among them; closing them lets the worker see end of file,
-    and exit, when the loop's process dies.
-    """
-    for end in parent_ends:
-        end.close()
-    while True:
-        try:
-            key = conn.recv()
-        except (EOFError, OSError):  # the loop's process is gone
-            return
-        try:
-            result = _gate(block, config, key)
-        except Exception as exc:
-            result = exc
-        try:
-            conn.send((key, result))
-        except OSError:
-            return
-
-
-class _GatePool:
-    """Forked workers that compute the gates the merge loop will most
-    likely propose next, while the loop waits for or computes the current
-    one.
-
-    A result is used only for a proposal with exactly its key, so a wrong
-    guess wastes a worker's time and changes no result.  A worker that
-    dies raises ``BrokenProcessPool`` in the loop.
-    """
-
-    def __init__(self, block: Callable, config: PermTestConfig, workers: int, ctx):
-        self.block, self.config = block, config
-        self.conns, self.fds, self.procs = [], [], []
-        self.sent: list[list[GateKey]] = []  # per worker, oldest first
-        self.done: dict[GateKey, object] = {}
-        for _ in range(workers):
-            here, there = ctx.Pipe()
-            ends = [*self.conns, here]
-            proc = ctx.Process(target=_serve_gates, args=(there, ends, block, config), daemon=True)
-            proc.start()
-            there.close()
-            self.conns.append(here)
-            self.fds.append(here.fileno())
-            self.procs.append(proc)
-            self.sent.append([])
-
-    def _collect(self, w: int) -> None:
-        """Receive worker w's oldest outstanding result."""
-        try:
-            key, result = self.conns[w].recv()
-        except (EOFError, OSError):
-            raise _broken() from None
-        self.sent[w].remove(key)
-        self.done[key] = result
-
-    def _send(self, w: int, key: GateKey) -> None:
-        try:
-            self.conns[w].send(key)
-        except OSError:
-            raise _broken() from None
-        self.sent[w].append(key)
-
-    def _ready(self, timeout) -> list[int]:
-        """The workers with a finished result, waiting up to ``timeout``."""
-        busy = [f for f, sent in zip(self.fds, self.sent) if sent]
-        return [self.fds.index(f) for f in select.select(busy, [], [], timeout)[0]]
-
-    def _top_up(self, guesses: list[GateKey]) -> None:
-        """Hand out the first guesses no worker holds, the least busy worker
-        first, so each keeps ``_DEPTH`` gates."""
-        for guess in guesses:
-            w = min(range(len(self.sent)), key=lambda i: len(self.sent[i]))
-            if len(self.sent[w]) == _DEPTH:
-                return
-            if guess not in self.done and all(guess not in sent for sent in self.sent):
-                self._send(w, guess)
-
-    def __call__(self, key: GateKey, ahead: Callable[[], list[GateKey]]) -> PermTestResult:
-        guesses = None
-
-        def collect(timeout) -> None:
-            """Collect the finished results, then hand out guesses to the
-            workers with room; a worker whose queue holds only stale
-            guesses is thus fed again."""
-            nonlocal guesses
-            for w in self._ready(timeout):
-                self._collect(w)
-            if any(len(sent) < _DEPTH for sent in self.sent):
-                if guesses is None:
-                    # degenerate unions are cheaper to compute inline
-                    guesses = [g for g in ahead() if g[2] - g[0] >= 3]
-                self._top_up(guesses)
-
-        collect(0)
-        self.done = {k: r for k, r in self.done.items() if k[3] >= key[3]}
-        while key not in self.done and any(key in sent for sent in self.sent):
-            collect(None)
-        result = self.done.pop(key) if key in self.done else _gate(self.block, self.config, key)
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    def close(self) -> None:
-        for conn in self.conns:
-            conn.close()
-        for proc in self.procs:
-            proc.terminate()
-            proc.join()
-            proc.close()
-
-
-def _broken() -> Exception:
-    from concurrent.futures.process import BrokenProcessPool
-
-    return BrokenProcessPool("a permutation gate worker process died")
-
-
-@contextmanager
-def _gate_solver(block: Callable, n: int, config: PermTestConfig):
-    """``solve(key, ahead)``: the gate of ``key``; ``ahead()`` lists the
-    keys of the proposals most likely to follow.
-
-    It is a :class:`_GatePool` of ``_default_workers()`` forked processes,
-    or every gate computed inline: with one worker, for fewer than
-    ``_POOL_MIN_DRAWS`` draws over the n points, without ``fork``, when
-    another thread is alive (a fork then risks a deadlock) or in a daemon
-    process.  The results are the same either way.  The workers are
-    stopped when the block exits, however it exits.
-    """
-    import multiprocessing  # imported here, so the CLI's start-up does not pay for it
-
-    workers = _default_workers()
-    if (
-        workers == 1
-        or (n - 1) * config.n_permutations < _POOL_MIN_DRAWS
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or threading.active_count() > 1
-        or multiprocessing.current_process().daemon  # may not have children
-    ):
-        yield lambda key, ahead: _gate(block, config, key)
-        return
-    pool = _GatePool(block, config, workers, multiprocessing.get_context("fork"))
-    try:
-        yield pool
-    finally:
-        pool.close()
 
 
 def segment(
@@ -371,8 +215,13 @@ def segment(
     def gate(left: range, right: range, upcoming) -> bool:
         t = len(tests)
         res = solve(
-            (left.start, right.start, right.stop, t),
-            lambda: [(*span, u) for u, span in enumerate(upcoming(_LOOKAHEAD), start=t + 1)],
+            (t, left.start, right.start, right.stop),
+            # degenerate unions are cheaper to compute inline
+            lambda: [
+                (u, *span)
+                for u, span in enumerate(upcoming(_LOOKAHEAD), start=t + 1)
+                if span[2] - span[0] >= 3
+            ],
         )
         tests.append(
             BoundaryTest(
@@ -387,7 +236,8 @@ def segment(
         )
         return res.decision == FUSE
 
-    with _gate_solver(block, n, config) as solve:
+    big = (n - 1) * config.n_permutations >= _POOL_MIN_DRAWS
+    with solver(lambda key: _gate(block, config, key), big) as solve:
         _, _, spans = _agglomerate(block, n, gate)
     return SegmentationResult(
         segments=[ids[start : end + 1] for start, end in spans],

@@ -1,6 +1,7 @@
 """Shared synthetic fixtures for the test suite."""
 
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,14 @@ def write_corpus_csv(rows, path):
         writer.writerow(["seq_no", "text", "is_initiating", "campaign"])
         writer.writerows(rows)
     return path
+
+
+def artifact_bytes(out):
+    """Every artifact's bytes, and the manifest's hashes (its config names
+    the output directory)."""
+    got = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    got["manifest.json"] = json.loads((out / "manifest.json").read_text())["artifacts"]
+    return got
 
 
 def docs_from_rows(rows):

@@ -3,14 +3,18 @@ import hashlib
 import importlib
 import json
 import os
+import select
+import signal
+import subprocess
 import sys
+import textwrap
 import time
 
 import numpy as np
 import pytest
 
 from chronosem import cli as cli_module
-from chronosem import impact, segmentation
+from chronosem import _workers, impact, segmentation
 from chronosem.cli import (
     _HASH_BLOCK,
     UNEXPECTED_ERROR_EXIT,
@@ -21,7 +25,13 @@ from chronosem.cli import (
     run,
 )
 from chronosem.errors import ConfigError
-from helpers import SYNTHETIC3, scale_corpus_rows, synthetic_corpus_rows, write_corpus_csv
+from helpers import (
+    SYNTHETIC3,
+    artifact_bytes,
+    scale_corpus_rows,
+    synthetic_corpus_rows,
+    write_corpus_csv,
+)
 
 ALL_ARTIFACTS = {
     "matrix.csv", "matrix_roles.json", "vocab.csv",
@@ -45,16 +55,15 @@ def _pooled_gates(monkeypatch, workers):
     """Run segment's gates on a pool of ``workers`` at any corpus size;
     returns the list that counts the results the workers send back."""
     monkeypatch.setattr(segmentation, "_POOL_MIN_DRAWS", 0)
-    for module in (cli_module, segmentation):
-        monkeypatch.setattr(module, "_default_workers", lambda: workers)
+    monkeypatch.setattr(_workers, "_default_workers", lambda: workers)
     collected = []
-    collect = segmentation._GatePool._collect
+    collect = _workers._Pool._collect
 
     def counted(pool, w):
         collect(pool, w)
         collected.append(w)
 
-    monkeypatch.setattr(segmentation._GatePool, "_collect", counted)
+    monkeypatch.setattr(_workers._Pool, "_collect", counted)
     return collected
 
 
@@ -160,8 +169,7 @@ class TestSharedDistances:
         outputs = {}
         collected = _pooled_gates(monkeypatch, 1)
         for workers in (1, 2, 3):
-            for module in (cli_module, segmentation):
-                monkeypatch.setattr(module, "_default_workers", lambda: workers)
+            monkeypatch.setattr(_workers, "_default_workers", lambda: workers)
             collected.clear()
             for sub in ("segment", "all"):
                 out = tmp_path / f"{sub}{workers}"
@@ -310,6 +318,35 @@ class TestErrors:
         assert err["error"] == "CorpusFormatError"
         assert f"{corpus}:{line}:" in err["message"]
 
+    @pytest.mark.parametrize(
+        "row, seq_no, campaign",
+        [(60, 10**20, 3), (20, 21, 10**30), (0, 1, -1), (0, -1, 1)],
+        ids=["seq_no_beyond_int64", "campaign_beyond_int64", "negative_campaign",
+             "negative_seq_no"],
+    )
+    def test_id_outside_int64_exit_3_names_line(self, tmp_path, capsys, row, seq_no, campaign):
+        rows = synthetic_corpus_rows() + [(61, "garden seed soil bloom", 0, 3)]
+        rows[row] = (seq_no, rows[row][1], rows[row][2], campaign)
+        corpus = write_corpus_csv(rows, tmp_path / "ids.csv")
+        code = cli("all", "--input", corpus, "--out", tmp_path / "x", "--permutations", 200)
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CorpusFormatError"
+        assert f"{corpus}:{row + 2}:" in err["message"]
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        corpus = tmp_path / "bom.csv"
+        corpus.write_bytes(b"\xef\xbb\xbf" + SYNTHETIC3.read_bytes())
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"\xef\xbb\xbfgarden\nmusic\n")
+        for name, argv in (("plain", [SYNTHETIC3]), ("bom", [corpus, "--stopwords", stop])):
+            assert cli("ingest", "--input", *argv, "--out", tmp_path / name) == 0
+        roles = json.loads((tmp_path / "bom" / "matrix_roles.json").read_text())
+        terms = {c["name"] for c in roles["cols"] if c["role"] == "term"}
+        assert "space" in terms and not terms & {"garden", "music"}
+        plain = json.loads((tmp_path / "plain" / "matrix_roles.json").read_text())
+        assert roles["rows"] == plain["rows"]
+
     @pytest.mark.parametrize("flag", ["--top-tweets", "--top-terms"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_top_list_sizes_must_be_positive(self, tmp_path, capsys, flag, value):
@@ -364,7 +401,7 @@ class TestErrors:
         return payload
 
     def test_dead_formatter_worker_exit_5(self, tmp_path, capfd, monkeypatch):
-        monkeypatch.setattr(cli_module, "_default_workers", lambda: 2)
+        monkeypatch.setattr(_workers, "_default_workers", lambda: 2)
         monkeypatch.setattr(cli_module, "_format_stripe", _exit_worker)
         code = cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "x")
         self._assert_unexpected(capfd, code, "BrokenProcessPool")
@@ -389,7 +426,7 @@ class TestErrors:
         markers = tmp_path / "formatted"
         markers.mkdir()
         monkeypatch.setattr(sys.modules[__name__], "_MARKERS", markers)
-        monkeypatch.setattr(cli_module, "_default_workers", lambda: 2)
+        monkeypatch.setattr(_workers, "_default_workers", lambda: 2)
         monkeypatch.setattr(cli_module, "_STRIPE_ROWS", 1)
         monkeypatch.setattr(cli_module, "_format_stripe", _marking_worker)
         assert cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "whole") == 0
@@ -426,6 +463,101 @@ class TestErrors:
         config = PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path / "o"))
         with pytest.raises(ConfigError):
             run("bogus", config)
+
+
+class TestForkPolicy:
+    """One rule for both worker pools: no fork in a daemon process or
+    beside a live thread, and no worker outlives a killed CLI."""
+
+    FLAGS = ("--input", SYNTHETIC3, "--permutations", 200)
+
+    @staticmethod
+    def _cores(monkeypatch, n):
+        """The run sees n usable cores, whatever the machine has."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    @pytest.mark.parametrize("sub", ["ca", "all"])
+    def test_daemon_process_runs_inline(self, tmp_path, monkeypatch, sub):
+        import multiprocessing
+
+        self._cores(monkeypatch, 1)
+        assert cli(sub, "--out", tmp_path / "inline", *self.FLAGS) == 0
+        self._cores(monkeypatch, 2)
+        ctx = multiprocessing.get_context("fork")
+        child = ctx.Process(
+            target=lambda: sys.exit(cli(sub, "--out", tmp_path / "daemon", *self.FLAGS)),
+            daemon=True,
+        )
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0
+        assert artifact_bytes(tmp_path / "daemon") == artifact_bytes(tmp_path / "inline")
+
+    @pytest.mark.parametrize("sub", ["ca", "all"])
+    def test_no_fork_beside_a_live_thread(self, tmp_path, monkeypatch, sub):
+        import threading
+
+        self._cores(monkeypatch, 1)
+        assert cli(sub, "--out", tmp_path / "inline", *self.FLAGS) == 0
+        self._cores(monkeypatch, 2)
+
+        def no_fork():
+            raise AssertionError("forked beside a live thread")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            code = cli(sub, "--out", tmp_path / "threaded", *self.FLAGS)
+        finally:
+            release.set()
+            other.join()
+        assert code == 0
+        assert artifact_bytes(tmp_path / "threaded") == artifact_bytes(tmp_path / "inline")
+
+    def test_formatting_workers_exit_when_the_cli_dies(self, tmp_path):
+        # the worker processes inherit the write end of a pipe; it reads end
+        # of file once the killed CLI process and every worker have exited
+        script = textwrap.dedent("""
+            import os, sys, time
+            from chronosem import cli
+            os.sched_getaffinity = lambda pid: {0, 1}
+            cli._STRIPE_ROWS = 1
+            dump = cli._dump_leaves
+
+            class Stalled:
+                def __init__(self, fh):
+                    self.fh, self.writes = fh, 0
+
+                def write(self, text):
+                    self.writes += 1
+                    if self.writes == 20:
+                        print("running", flush=True)
+                        time.sleep(120)
+                    return self.fh.write(text)
+
+            cli._dump_leaves = lambda fh, *a: dump(Stalled(fh), *a)
+            cli.main(["ca", "--input", sys.argv[1], "--out", sys.argv[2]])
+        """)
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        read_end, write_end = os.pipe()
+        run_cli = subprocess.Popen(
+            [sys.executable, "-c", script, str(SYNTHETIC3), str(tmp_path / "x")],
+            stdout=subprocess.PIPE, pass_fds=(write_end,),
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        os.close(write_end)
+        try:
+            assert run_cli.stdout.readline() == b"running\n"
+            run_cli.send_signal(signal.SIGKILL)
+            run_cli.wait(10)
+            assert select.select([read_end], [], [], 10)[0], "a formatting worker outlived the CLI"
+            assert os.read(read_end, 1) == b""
+        finally:
+            run_cli.kill()
+            run_cli.stdout.close()
+            os.close(read_end)
 
 
 class TestStopwordOverride:

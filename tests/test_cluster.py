@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from chronosem import cluster, cut, to_newick
+from chronosem import _workers, cluster, cut, to_newick
 from chronosem.cluster import dendrogram_csv_rows, dendrogram_json_dict, distance_matrix
 from chronosem.errors import DimensionMismatch, InvalidK
 from oracles import constrained_complete_link_bruteforce
@@ -174,11 +174,11 @@ class TestDistanceMatrix:
         self, monkeypatch, affinity, cpu_count, workers
     ):
         if affinity is None:  # a platform without sched_getaffinity
-            monkeypatch.delattr(cluster_module.os, "sched_getaffinity", raising=False)
+            monkeypatch.delattr(_workers.os, "sched_getaffinity", raising=False)
         else:
-            monkeypatch.setattr(cluster_module.os, "sched_getaffinity", lambda pid: affinity)
-        monkeypatch.setattr(cluster_module.os, "cpu_count", lambda: cpu_count)
-        assert cluster_module._default_workers() == workers
+            monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(_workers.os, "cpu_count", lambda: cpu_count)
+        assert _workers._default_workers() == workers
 
     @pytest.mark.parametrize("shape, cols", [((60, 50), slice(None)), ((40, 6), slice(0, 2))])
     def test_blocks_equal_matrix_bit_for_bit(self, shape, cols):

@@ -333,6 +333,18 @@ class TestCorpusIO:
         path.write_text(json.dumps({"seq_no": 1, "text": "alpha", "campaign": 1, **extra}))
         assert load_corpus(path)[0].is_initiating is expected
 
+    @pytest.mark.parametrize("field", ["seq_no", "campaign"])
+    def test_ids_are_nonnegative_int64(self, tmp_path, field):
+        path = tmp_path / "corpus.jsonl"
+        for value, ok in ((0, True), (2**63 - 1, True), (2**63, False), (-1, False)):
+            rec = {"seq_no": 1, "text": "alpha", "is_initiating": 1, "campaign": 1, field: value}
+            path.write_text(json.dumps(rec) + "\n")
+            if ok:
+                assert getattr(load_corpus(path)[0], field) == value
+            else:
+                with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:1: "):
+                    load_corpus(path)
+
     def test_stopword_file(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("and\nthe\n\nwith\n")

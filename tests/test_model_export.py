@@ -12,7 +12,6 @@ import csv
 import importlib
 import io
 import json
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -20,10 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from chronosem import cli, corpus
+from chronosem import _workers, cli, corpus
 from chronosem.ca import fit_ca, model_export_dict
-from chronosem.cli import _dump_leaves, _fmt, _stripe_map, main
-from helpers import SYNTHETIC3, scale_corpus_rows, write_corpus_csv
+from chronosem.cli import _dump_leaves, _fmt, main
+from helpers import SYNTHETIC3, artifact_bytes, scale_corpus_rows, write_corpus_csv
 
 cluster = importlib.import_module("chronosem.cluster")
 
@@ -102,36 +101,35 @@ def test_few_factor_artifacts_match_reference_renderings(tmp_path, n_terms):
     assert all(len(line.split(",")) == n_terms for line in lines)
 
 
-def _artifact_bytes(out):
-    """Every artifact's bytes, and the manifest's hashes (its config names
-    the output directory)."""
-    got = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
-    got["manifest.json"] = json.loads((out / "manifest.json").read_text())["artifacts"]
-    return got
+def _started_pools(monkeypatch) -> list:
+    """Count the worker pools started from here on: one entry each."""
+    started = []
+    init = _workers._Pool.__init__
+
+    def counted(pool, *args):
+        init(pool, *args)
+        started.append(pool)
+
+    monkeypatch.setattr(_workers._Pool, "__init__", counted)
+    return started
 
 
 @pytest.mark.parametrize("name", CORPORA)
 def test_artifacts_independent_of_worker_count(tmp_path, monkeypatch, name):
     path = CORPORA[name](tmp_path)
-    real_map = cli._stripe_map
-    in_process = []
-
-    @contextmanager
-    def watched():
-        with real_map() as fmt:
-            in_process.append(fmt is map)
-            yield fmt
-
-    monkeypatch.setattr(cli, "_stripe_map", watched)
+    started = _started_pools(monkeypatch)
+    pools = []  # pools started per run: the formatting pool; the gates stay inline
     outputs = {}
     for workers in (1, 2, 3):
-        monkeypatch.setattr(cli, "_default_workers", lambda: workers)
+        monkeypatch.setattr(_workers, "_default_workers", lambda: workers)
         monkeypatch.setattr(cluster, "_default_workers", lambda: workers)
         for sub in ("ca", "all"):
             out = tmp_path / f"{sub}{workers}"
+            before = len(started)
             assert main([sub, "--input", str(path), "--out", str(out)]) == 0
-            outputs[sub, workers] = _artifact_bytes(out)
-    assert in_process == [True, True, False, False, False, False]
+            pools.append(len(started) - before)
+            outputs[sub, workers] = artifact_bytes(out)
+    assert pools == [0, 0, 1, 1, 1, 1]
     for sub in ("ca", "all"):
         assert outputs[sub, 2] == outputs[sub, 1]
         assert outputs[sub, 3] == outputs[sub, 1]
@@ -159,20 +157,19 @@ _trees = st.recursive(
 )
 
 
-@pytest.fixture(scope="module")
-def pool_map():
-    """A two-process formatting pool, shared by the property's examples."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_default_workers", lambda: 2)
-        with _stripe_map() as fmt:
-            assert fmt is not map
-            yield fmt
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Format on a two-process pool; returns the pools started."""
+    monkeypatch.setattr(_workers, "_default_workers", lambda: 2)
+    return _started_pools(monkeypatch)
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(tree=_trees, stripe_rows=st.integers(1, 3))
-def test_streamed_json_equals_json_dumps(tree, stripe_rows, pool_map, monkeypatch):
+def test_streamed_json_equals_json_dumps(tree, stripe_rows, two_workers, monkeypatch):
     monkeypatch.setattr(cli, "_STRIPE_ROWS", stripe_rows)
     buf = io.StringIO()
-    _dump_leaves(buf, tree, pool_map)
+    before = len(two_workers)
+    _dump_leaves(buf, tree)
+    assert len(two_workers) == before + 1  # formatted on the pool
     assert buf.getvalue() == json.dumps(_tolist(tree), sort_keys=True)

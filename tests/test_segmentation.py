@@ -21,7 +21,7 @@ from chronosem import (
     segment_centroids_as_supplementary,
     threshold_matrix,
 )
-from chronosem import segmentation
+from chronosem import _workers, segmentation
 from chronosem.errors import DimensionMismatch
 from chronosem.segmentation import (
     SegmentationResult,
@@ -253,17 +253,17 @@ class TestGatePool:
         results collected from the workers."""
         monkeypatch.setattr(segmentation, "_POOL_MIN_DRAWS", 0)
         collected = []
-        collect = segmentation._GatePool._collect
+        collect = _workers._Pool._collect
 
         def counted(pool, w):
             collect(pool, w)
             collected.append(w)
 
-        monkeypatch.setattr(segmentation._GatePool, "_collect", counted)
+        monkeypatch.setattr(_workers._Pool, "_collect", counted)
         return collected
 
     def _segment(self, monkeypatch, pts, workers):
-        monkeypatch.setattr(segmentation, "_default_workers", lambda: workers)
+        monkeypatch.setattr(_workers, "_default_workers", lambda: workers)
         return segment(pts, self.CFG)
 
     @pytest.mark.parametrize("name, pts", list(_pool_clouds()))
@@ -302,7 +302,7 @@ class TestGatePool:
         gate = segmentation._gate
 
         def failing(block, config, key):
-            if key[3] == 40:
+            if key[0] == 40:
                 raise FloatingPointError("gate 40 failed")
             return gate(block, config, key)
 
@@ -347,16 +347,16 @@ class TestGatePool:
         script = textwrap.dedent("""
             import sys, time
             import numpy as np
-            from chronosem import segmentation as S
+            from chronosem import _workers as W, segmentation as S
             S._POOL_MIN_DRAWS = 0
-            S._default_workers = lambda: 2
-            call = S._GatePool.__call__
+            W._default_workers = lambda: 2
+            call = W._Pool.__call__
             def stalled(pool, key, ahead):
-                if key[3] == 30:
+                if key[0] == 30:
                     print("running", flush=True)
                     time.sleep(120)
                 return call(pool, key, ahead)
-            S._GatePool.__call__ = stalled
+            W._Pool.__call__ = stalled
             pts = np.random.default_rng(8).standard_normal((120, 6))
             S.segment(pts, S.PermTestConfig(n_permutations=300))
         """)
@@ -382,7 +382,7 @@ class TestGatePool:
         # a daemon process may not start children, so its gates run inline
         pts = dict(_pool_clouds())["random"]
         inline = self._segment(monkeypatch, pts, 1)
-        monkeypatch.setattr(segmentation, "_default_workers", lambda: 2)
+        monkeypatch.setattr(_workers, "_default_workers", lambda: 2)
         ctx = multiprocessing.get_context("fork")
         here, there = ctx.Pipe()
         child = ctx.Process(
@@ -395,8 +395,8 @@ class TestGatePool:
         assert child.exitcode == 0
 
     def test_small_runs_stay_inline(self, monkeypatch):
-        monkeypatch.setattr(segmentation, "_default_workers", lambda: 2)
-        monkeypatch.setattr(segmentation, "_GatePool", None)  # would fail if used
+        monkeypatch.setattr(_workers, "_default_workers", lambda: 2)
+        monkeypatch.setattr(_workers, "_Pool", None)  # would fail if used
         pts = dict(_pool_clouds())["random"]
         assert (len(pts) - 1) * 5000 < segmentation._POOL_MIN_DRAWS
         res = segment(pts, PermTestConfig(rng_seed=2))
