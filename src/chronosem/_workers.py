@@ -137,26 +137,25 @@ class _Pool:
 
 
 @contextmanager
-def solver(fn: Callable, big: bool):
+def solver(fn: Callable):
     """``solve(key, ahead)``: ``fn(key)``, for keys asked for in increasing
     order.  ``ahead()`` lists the keys likely to be asked for next, and
     forked workers compute them while the caller waits for, or computes,
     the current one.  A result is used only for the key it was computed
     for, so a wrong guess wastes a worker's time and changes no result.
 
-    Every key is computed inline, with the same result, when the caller
-    says the job is not ``big`` enough, with one worker, without ``fork``,
-    when another thread is alive (a fork then risks a deadlock) or in a
-    daemon process (which may not have children).  Workers leave through
-    ``os._exit``, so they never flush the caller's open files, and they are
-    stopped when the block exits, however it exits.
+    Every key is computed inline, with the same result, with one worker,
+    without ``fork``, when another thread is alive (a fork then risks a
+    deadlock) or in a daemon process (which may not have children).
+    Workers leave through ``os._exit``, so they never flush the caller's
+    open files, and they are stopped when the block exits, however it
+    exits.
     """
     import multiprocessing  # imported here, so the CLI's start-up does not pay for it
 
     workers = _default_workers()
     if (
-        not big
-        or workers == 1
+        workers == 1
         or "fork" not in multiprocessing.get_all_start_methods()
         or threading.active_count() > 1
         or multiprocessing.current_process().daemon

@@ -18,7 +18,7 @@ from .errors import ConvergenceError, EmptyProfile, ZeroMarginError
 
 # Fraction of the total inertia below which a singular direction is treated
 # as the structural null direction rather than a factor.
-DEFAULT_TOL_RATIO = 1e-12
+_TOL_RATIO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -125,21 +125,19 @@ def standardized_residuals(table: ProbabilityTable) -> np.ndarray:
     return z
 
 
-def decompose(table: ProbabilityTable, tol: float | None = None) -> CAModel:
+def decompose(table: ProbabilityTable) -> CAModel:
     """Fit the factor space by SVD of the standardized residual matrix.
 
-    Factors with inertia at or below ``tol`` (default
-    ``1e-12 * total_inertia``) are truncated; at most min(n-1, p-1)
-    factors are kept.  Each factor's sign is fixed so its
-    largest-magnitude row coordinate is positive.
+    Factors with inertia at or below ``1e-12 * total_inertia`` are
+    truncated; at most min(n-1, p-1) factors are kept.  Each factor's sign
+    is fixed so its largest-magnitude row coordinate is positive.
     """
     z = standardized_residuals(table)
     inertia = float(np.sum(z * z))
-    if tol is None:
-        # relative cutoff, floored at the squared-eps noise scale so a
-        # zero-inertia table cannot promote rounding noise to a factor
-        noise_floor = (np.finfo(float).eps * max(table.shape)) ** 2
-        tol = max(DEFAULT_TOL_RATIO * inertia, noise_floor)
+    # relative cutoff, floored at the squared-eps noise scale so a
+    # zero-inertia table cannot promote rounding noise to a factor
+    noise_floor = (np.finfo(float).eps * max(table.shape)) ** 2
+    cutoff = max(_TOL_RATIO * inertia, noise_floor)
     try:
         u, sing, vt = np.linalg.svd(z, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -151,7 +149,7 @@ def decompose(table: ProbabilityTable, tol: float | None = None) -> CAModel:
     n, p = table.shape
     max_rank = max(min(n - 1, p - 1), 0)
     lam = sing**2
-    n_keep = int(np.sum(lam > tol))
+    n_keep = int(np.sum(lam > cutoff))
     n_keep = min(n_keep, max_rank)
 
     lam = lam[:n_keep]
@@ -178,10 +176,10 @@ def decompose(table: ProbabilityTable, tol: float | None = None) -> CAModel:
     return model
 
 
-def fit_ca(counts, tol: float | None = None) -> tuple[ProbabilityTable, CAModel]:
+def fit_ca(counts) -> tuple[ProbabilityTable, CAModel]:
     """Normalize and decompose in one step."""
     table = normalize(counts)
-    return table, decompose(table, tol=tol)
+    return table, decompose(table)
 
 
 def _contributions(masses: np.ndarray, coords: np.ndarray) -> np.ndarray:

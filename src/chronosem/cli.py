@@ -176,7 +176,7 @@ def _dump_leaves(fh, obj, csvs=None) -> None:
     ]
     n = len(stripes)
     # the workers fork after the stripes exist, so only indices cross the pipes
-    with solver(lambda i: _format_stripe(*stripes[i]), True) as solve:
+    with solver(lambda i: _format_stripe(*stripes[i])) as solve:
         results = (solve(i, lambda: range(i, n)) for i in range(n))
         for piece in pieces:
             if isinstance(piece, str):
@@ -213,7 +213,7 @@ class _Pipeline:
             if self.config.stopwords
             else corpus.DEFAULT_STOPWORDS
         )
-        return corpus.build_vocabulary(self.docs, corpus.TokenizerConfig(stopwords=stop))
+        return corpus.build_vocabulary(self.docs, stop)
 
     @cached_property
     def tdm(self):

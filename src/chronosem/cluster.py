@@ -264,14 +264,12 @@ def cut(dendro: Dendrogram, k: int) -> list[list[int]]:
     return [[dendro.leaves[i] for i in range(lo, hi + 1)] for lo, hi in segments]
 
 
-def to_newick(dendro: Dendrogram, labels: list[str] | None = None) -> str:
+def to_newick(dendro: Dendrogram) -> str:
     """Ultrametric Newick string; the path between two leaves equals their
     merge height.  Built iteratively so deep (chain-shaped) dendrograms do
     not hit the recursion limit."""
     n = dendro.n_leaves
-    if labels is None:
-        labels = [str(v) for v in dendro.leaves]
-    reps: dict[int, str] = {i: labels[i] for i in range(n)}
+    reps: dict[int, str] = {i: str(v) for i, v in enumerate(dendro.leaves)}
     height: dict[int, float] = {i: 0.0 for i in range(n)}
     node = n
     for m in dendro.merges:

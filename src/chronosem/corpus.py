@@ -40,18 +40,13 @@ DEFAULT_STOPWORDS = frozenset(
     }
 )
 
-# Leftovers of contraction splitting ("I'll" -> "ll" etc.).  "s" and "t"
-# are already removed by the minimum-length rule; listed for clarity.
-DEFAULT_PARTIAL_WORDS = frozenset({"ll", "s", "t"})
+# Leftovers of contraction splitting ("I'll" -> "ll" etc.), dropped under
+# any stopword list.  "s" and "t" are already removed by the minimum-length
+# rule; listed for clarity.
+_RUMPS = frozenset({"ll", "s", "t"})
+_MIN_TOKEN_LEN = 2
 
 _ALPHA_RUN = re.compile(r"[A-Za-z]+")
-
-
-@dataclass(frozen=True)
-class TokenizerConfig:
-    stopwords: frozenset = DEFAULT_STOPWORDS
-    partial_words: frozenset = DEFAULT_PARTIAL_WORDS
-    min_token_len: int = 2
 
 
 @dataclass(frozen=True)
@@ -75,15 +70,15 @@ class Document:
             )
 
 
-def tokenize(raw_text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
+def tokenize(raw_text: str, stopwords: frozenset = DEFAULT_STOPWORDS) -> list[str]:
     """Split raw text into retained terms.
 
     Rules, in order: the literal HTML-entity sequence ``&amp;`` becomes the
     word "and"; every maximal run of non-alphabetic characters acts as a
     delimiter (so punctuation fragments words rather than being deleted
-    in place); tokens are lowercased; tokens shorter than
-    ``config.min_token_len`` are dropped; stopwords and contraction rumps
-    are dropped.  Empty input yields an empty list.
+    in place); tokens are lowercased; tokens shorter than 2 letters are
+    dropped; ``stopwords`` and the contraction rumps "ll", "s" and "t" are
+    dropped.  Empty input yields an empty list.
     """
     if not raw_text:
         return []
@@ -91,9 +86,7 @@ def tokenize(raw_text: str, config: TokenizerConfig = TokenizerConfig()) -> list
     out = []
     for match in _ALPHA_RUN.finditer(text):
         tok = match.group().lower()
-        if len(tok) < config.min_token_len:
-            continue
-        if tok in config.stopwords or tok in config.partial_words:
+        if len(tok) < _MIN_TOKEN_LEN or tok in stopwords or tok in _RUMPS:
             continue
         out.append(tok)
     return out
@@ -117,7 +110,7 @@ class Vocabulary:
 
 
 def build_vocabulary(
-    docs: Sequence[Document], tokenizer: TokenizerConfig = TokenizerConfig()
+    docs: Sequence[Document], stopwords: frozenset = DEFAULT_STOPWORDS
 ) -> Vocabulary:
     """Tokenize each document once into the documents x terms count matrix
     and derive the global and per-document counts from it."""
@@ -126,7 +119,7 @@ def build_vocabulary(
     index: dict[str, int] = {}
     cols, vals, indptr = [], [], [0]
     for doc in docs:
-        for term, n in Counter(tokenize(doc.raw_text, tokenizer)).items():
+        for term, n in Counter(tokenize(doc.raw_text, stopwords)).items():
             cols.append(index.setdefault(term, len(index)))
             vals.append(n)
         indptr.append(len(cols))
@@ -200,8 +193,9 @@ def threshold_matrix(
     """Retain sufficiently shared terms and assemble the role-tagged matrix.
 
     A term survives when ``global_freq >= min_global_freq`` and
-    ``doc_count >= min_doc_count`` (counted over all documents).  Documents
-    left with an all-zero row are dropped and recorded.  Initiating
+    ``doc_count >= min_doc_count`` (counted over all documents) and a
+    non-initiating document uses it.  Documents left with an all-zero row,
+    initiating ones included, are dropped and recorded.  Initiating
     documents become supplementary rows; everything else is principal.
     ``vocab`` must come from :func:`build_vocabulary` on the same ``docs``.
     Raises :class:`AllDocumentsEmpty` when no principal document survives.
@@ -218,31 +212,26 @@ def threshold_matrix(
         [freq[t] >= min_global_freq and ndocs[t] >= min_doc_count for t in vocab.terms],
         dtype=bool,
     )
-    retained = [t for t, k in zip(vocab.terms, keep) if k]
-    term_block = vocab.counts[:, keep]
+    # A term whose every occurrence sits in supplementary rows would leave a
+    # zero column in the analyzed block.  It goes with the thresholds, before
+    # the empty rows are found, so margins stay positive downstream and an
+    # initiator left with only such terms is dropped as empty.
+    initiating = np.array([d.is_initiating for d in docs], dtype=bool)
+    used = vocab.counts.T @ (~initiating).astype(np.int64) > 0
+    dropped_terms = [t for t, k, u in zip(vocab.terms, keep, used) if k and not u]
+    retained = [t for t, k, u in zip(vocab.terms, keep, used) if k and u]
+    term_block = vocab.counts[:, keep & used]
     nonempty = np.diff(term_block.indptr) > 0
     term_block = term_block[nonempty]
     kept_docs = [d for d, k in zip(docs, nonempty) if k]
     dropped = [d.seq_no for d, k in zip(docs, nonempty) if not k]
 
-    supp = np.array([d.is_initiating for d in kept_docs], dtype=bool)
+    supp = initiating[nonempty]
     if not kept_docs or not np.any(~supp):
         raise AllDocumentsEmpty(
             "no principal document survives thresholding "
             f"(min_global_freq={min_global_freq}, min_doc_count={min_doc_count})"
         )
-
-    # A term whose every occurrence sits in supplementary rows would leave a
-    # zero column in the analyzed block; drop it so downstream margins stay
-    # positive.
-    principal_support = np.asarray(
-        term_block[~supp].sum(axis=0)
-    ).ravel()
-    keep_cols = principal_support > 0
-    dropped_terms = [t for t, k in zip(retained, keep_cols) if not k]
-    if dropped_terms:
-        term_block = term_block[:, keep_cols]
-        retained = [t for t, k in zip(retained, keep_cols) if k]
 
     campaigns = np.array(
         [d.campaign if d.campaign is not None else -1 for d in kept_docs],
@@ -300,12 +289,17 @@ def merge_initiating(docs: Sequence[Document], indices: Sequence[int]) -> Docume
         raise MixedCampaign(
             f"documents {list(indices)} do not share a single campaign id"
         )
-    ordered = sorted(chosen, key=lambda d: d.seq_no)
+    return _merged(sorted(chosen, key=lambda d: d.seq_no))
+
+
+def _merged(run: Sequence[Document]) -> Document:
+    """One initiating document from a chronological run of documents of one
+    campaign: the first seq_no and the texts joined with a space."""
     return Document(
-        seq_no=ordered[0].seq_no,
-        raw_text=" ".join(d.raw_text for d in ordered),
+        seq_no=run[0].seq_no,
+        raw_text=" ".join(d.raw_text for d in run),
         is_initiating=True,
-        campaign=campaigns.pop(),
+        campaign=run[0].campaign,
     )
 
 
@@ -313,7 +307,9 @@ def merge_adjacent_initiating(docs: Sequence[Document]) -> list[Document]:
     """Collapse each run of adjacent same-campaign initiating documents.
 
     Campaigns occasionally launch with two back-to-back posts; the pair is
-    analyzed as a single initiating document.
+    analyzed as a single initiating document, as :func:`merge_initiating`
+    builds it.  ``docs`` are in chronological order, as
+    :func:`load_corpus` returns them.
     """
     out: list[Document] = []
     i = 0
@@ -330,10 +326,7 @@ def merge_adjacent_initiating(docs: Sequence[Document]) -> list[Document]:
             and docs[j].campaign == d.campaign
         ):
             j += 1
-        if j - i > 1:
-            out.append(merge_initiating(docs, [docs[k].seq_no for k in range(i, j)]))
-        else:
-            out.append(d)
+        out.append(_merged(docs[i:j]) if j - i > 1 else d)
         i = j
     return out
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.spatial.distance import squareform
 
 from . import ca
@@ -34,12 +33,9 @@ class PairwiseStats:
     n_pairs: int
     distances: np.ndarray = field(repr=False, default=None)  # condensed, pdist order
 
-    def percent_below(self, d: float) -> float:
-        """Empirical percentile: share of pairwise distances below d."""
-        return float(self.percents_below([d])[0])
-
     def percents_below(self, ds) -> np.ndarray:
-        """:meth:`percent_below` of every d in ``ds``, in one pass.
+        """Empirical percentile of every d in ``ds``: the share of pairwise
+        distances below d, in one pass.
 
         The distances are sorted one small block at a time and each d is
         counted into every sorted block by binary search, so no sorted copy
@@ -76,18 +72,14 @@ def pairwise_distance_stats(coords: np.ndarray, dist=None) -> PairwiseStats:
     )
 
 
-def significance(distance_full: float, pairwise_stats) -> tuple[float, float]:
-    """z-score of an impact distance against the pairwise-distance cloud.
+def significance(distance_full: float, mean: float, stdev: float) -> tuple[float, float]:
+    """z-score of an impact distance against the pairwise-distance cloud
+    of the given mean and standard deviation.
 
-    ``pairwise_stats`` is a :class:`PairwiseStats` or a (mean, stdev) pair.
     Returns (z, two-sided Gaussian tail percent beyond |z|).  The one-sided
     tail is half the returned percent.  Raises :class:`DegenerateSpread`
     when the spread is zero.
     """
-    if isinstance(pairwise_stats, PairwiseStats):
-        mean, stdev = pairwise_stats.mean, pairwise_stats.stdev
-    else:
-        mean, stdev = float(pairwise_stats[0]), float(pairwise_stats[1])
     if stdev <= 0:
         raise DegenerateSpread("pairwise distance spread is zero")
     z = (distance_full - mean) / stdev
@@ -107,10 +99,7 @@ def campaign_centroid(
     members = np.flatnonzero(np.asarray(principal_campaigns) == campaign)
     if len(members) == 0:
         raise EmptyCampaign(f"campaign {campaign} has no principal documents")
-    if sp.issparse(principal_counts):
-        agg = np.asarray(principal_counts[members].sum(axis=0)).ravel()
-    else:
-        agg = np.asarray(principal_counts)[members].sum(axis=0)
+    agg = np.asarray(principal_counts[members].sum(axis=0)).ravel()
     return ca.project_supplementary_row(model, agg)
 
 
@@ -212,7 +201,7 @@ def build_impact_report(
         )
         d_full = impact_distance(proj, centroid, "full")
         d_plane = impact_distance(proj, centroid, "plane")
-        z, two_sided = significance(d_full, stats)
+        z, two_sided = significance(d_full, stats.mean, stats.stdev)
         records.append(
             CampaignImpact(
                 campaign=campaign,

@@ -169,10 +169,6 @@ def perm_test(
 GateKey = tuple[int, int, int, int]
 
 _LOOKAHEAD = 8  # predicted proposals offered to the workers at each gate
-# below this many draws ((n - 1) gates at most, times the permutations) the
-# forks cost more than they save: on 2 cores the pool was slower at 500
-# points, even at 1k and faster at 2k, at 5000 permutations
-_POOL_MIN_DRAWS = 5_000_000
 
 
 def _gate(block: Callable, config: PermTestConfig, key: GateKey) -> PermTestResult:
@@ -236,8 +232,7 @@ def segment(
         )
         return res.decision == FUSE
 
-    big = (n - 1) * config.n_permutations >= _POOL_MIN_DRAWS
-    with solver(lambda key: _gate(block, config, key), big) as solve:
+    with solver(lambda key: _gate(block, config, key)) as solve:
         _, _, spans = _agglomerate(block, n, gate)
     return SegmentationResult(
         segments=[ids[start : end + 1] for start, end in spans],
@@ -251,10 +246,10 @@ def segment(
 class SegmentFactorMap:
     """Fresh factor space over segments-by-terms aggregates.
 
-    ``coords[k]`` holds segment k's coordinates; singleton segments (under
-    the "supplementary" policy) are zero-mass projections and are flagged in
-    ``supplementary``.  A singleton whose terms all vanish from the active
-    column set gets NaN coordinates.
+    ``coords[k]`` holds segment k's coordinates; singleton segments are
+    zero-mass projections and are flagged in ``supplementary``.  A
+    singleton whose terms all vanish from the active column set gets NaN
+    coordinates.
     """
 
     coords: np.ndarray  # (n_segments, S)
@@ -264,21 +259,17 @@ class SegmentFactorMap:
 
 
 def segment_centroids_as_supplementary(
-    result: SegmentationResult,
-    counts,
-    singleton_policy: str = "supplementary",
+    result: SegmentationResult, counts
 ) -> SegmentFactorMap:
     """Map segments into a fresh factor space built from their term totals.
 
     Each segment's member count rows are summed into one aggregate profile.
-    Under ``singleton_policy="supplementary"`` single-document segments are
-    held out of the decomposition (they could distort it) and projected
-    afterwards with zero mass; ``"principal"`` keeps every segment active.
-    ``counts`` must hold one row per clustered document, in sequence order;
-    it is summed in CSR form (a dense table is converted), never densified.
+    Single-document segments are held out of the decomposition (they could
+    distort it) and projected afterwards with zero mass, unless every
+    segment is a singleton.  ``counts`` must hold one row per clustered
+    document, in sequence order; it is summed in CSR form (a dense table is
+    converted), never densified.
     """
-    if singleton_policy not in ("supplementary", "principal"):
-        raise ValueError(f"unknown singleton_policy {singleton_policy!r}")
     counts = sparse.csr_array(counts)
     sizes = np.array([len(seg) for seg in result.segments])
     n_docs = int(sizes.sum())
@@ -296,11 +287,9 @@ def segment_centroids_as_supplementary(
     )
     seg_counts = (members @ counts).toarray().astype(float)
 
-    is_single = sizes == 1
-    if singleton_policy == "principal" or bool(np.all(is_single)):
-        supplementary = np.zeros(result.n_segments, dtype=bool)
-    else:
-        supplementary = is_single
+    supplementary = sizes == 1
+    if supplementary.all():
+        supplementary[:] = False
 
     active = seg_counts[~supplementary]
     col_support = active.sum(axis=0)

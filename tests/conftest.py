@@ -1,6 +1,13 @@
 import multiprocessing
+import os
 
 import pytest
+from hypothesis import settings
+
+# CI selects this profile (HYPOTHESIS_PROFILE=ci): a failing example is
+# printed as a blob that @reproduce_failure replays locally
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(autouse=True)

@@ -62,15 +62,15 @@ def random_tables():
 def test_criterion_1_impact_arithmetic_fixture():
     d, mean, mean_minus_stdev = 3.670904, 12.64907, 8.508712
     stdev = mean - mean_minus_stdev
-    z, tail = significance(d, (mean, stdev))
+    z, tail = significance(d, mean, stdev)
     assert abs(z - (-2.168451)) < 1e-5
     two_stdev = mean - 2 * stdev
     assert abs(two_stdev - 4.368352) < 5e-6
-    significance(d, (mean, stdev))  # warm
+    significance(d, mean, stdev)  # warm
     elapsed = np.inf
     for _ in range(100):
         t0 = time.perf_counter()
-        significance(d, (mean, stdev))
+        significance(d, mean, stdev)
         elapsed = min(elapsed, time.perf_counter() - t0)
     assert elapsed < 1e-3
     report(

@@ -1,22 +1,29 @@
+import contextlib
 import errno
 import hashlib
 import importlib
+import io
 import json
 import os
 import select
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronosem import cli as cli_module
 from chronosem import _workers, impact, segmentation
 from chronosem.cli import (
     _HASH_BLOCK,
+    SUBCOMMANDS,
     UNEXPECTED_ERROR_EXIT,
     PipelineConfig,
     _format_stripe,
@@ -52,9 +59,8 @@ def _exit_worker(block, ids):
 
 
 def _pooled_gates(monkeypatch, workers):
-    """Run segment's gates on a pool of ``workers`` at any corpus size;
-    returns the list that counts the results the workers send back."""
-    monkeypatch.setattr(segmentation, "_POOL_MIN_DRAWS", 0)
+    """Run segment's gates on a pool of ``workers``; returns the list that
+    counts the results the workers send back."""
     monkeypatch.setattr(_workers, "_default_workers", lambda: workers)
     collected = []
     collect = _workers._Pool._collect
@@ -463,6 +469,94 @@ class TestErrors:
         config = PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path / "o"))
         with pytest.raises(ConfigError):
             run("bogus", config)
+
+
+class TestInitiatorOnlyTerms:
+    """Every launch text uses only words no ordinary document uses: the
+    initiators end up empty, are dropped, and their campaigns skipped."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        rows = [
+            (s, "pledge vow pledge vow" if init else text, init, c)
+            for s, text, init, c in synthetic_corpus_rows(n_campaigns=6)
+        ]
+        return write_corpus_csv(rows, tmp_path / "launch.csv"), [r[0] for r in rows if r[2]]
+
+    def test_impact_skips_the_campaigns(self, tmp_path, corpus):
+        path, _ = corpus
+        for sub in ("all", "impact"):
+            assert cli(sub, "--input", path, "--out", tmp_path / sub) == 0
+            report = json.loads((tmp_path / sub / "impact.json").read_text())
+            assert report["campaigns"] == []
+            assert [s["campaign"] for s in report["skipped_campaigns"]] == list(range(1, 7))
+
+    def test_drilldown_leaves_the_initiator_out(self, tmp_path, corpus):
+        path, launches = corpus
+        code = cli("drilldown", "--input", path, "--out", tmp_path / "d", "--campaign", 2)
+        assert code == 0
+        payload = json.loads((tmp_path / "d" / "drilldown.json").read_text())
+        assert payload["initiating_seq_nos"] == []
+        assert launches[1] not in {t["seq_no"] for t in payload["top_tweets"]}
+
+    def test_ingest_drops_the_initiators(self, tmp_path, corpus):
+        path, launches = corpus
+        assert cli("ingest", "--input", path, "--out", tmp_path / "i") == 0
+        roles = json.loads((tmp_path / "i" / "matrix_roles.json").read_text())
+        assert roles["dropped_docs"] == launches
+        assert roles["dropped_terms"] == ["pledge", "vow"]
+        assert all(r["role"] == "principal" for r in roles["rows"])
+
+
+_WORDS = ["amber", "birch", "cedar", "delta", "ember", "fjord"]
+
+
+@st.composite
+def _cli_runs(draw):
+    """A tiny corpus (one campaign id possibly out of range) and the flags
+    of one CLI run over it."""
+    rows = []
+    for seq in range(1, draw(st.integers(0, 40)) + 1):
+        init = draw(st.booleans())
+        words = _WORDS + ["pledge"] if init else _WORDS  # a word only initiators use
+        text = " ".join(draw(st.lists(st.sampled_from(words), max_size=6)))
+        campaign = draw(st.sampled_from([0, 1, 2]) if init else st.sampled_from(["", 0, 1, 2]))
+        rows.append([seq, text, int(init), campaign])
+    odd = draw(st.sampled_from([None, None, None, -1, 2**63]))
+    if rows and odd is not None:
+        rows[draw(st.integers(0, len(rows) - 1))][3] = odd
+    sub = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    thresholds = st.sampled_from([0, 1, 1, 2, 2, 3, 4])
+    flags = [
+        "--min-freq", draw(thresholds), "--min-docs", draw(thresholds),
+        "--dims", draw(st.sampled_from(["full", "plane"])), "--permutations", 20,
+    ]
+    if sub == "drilldown":
+        flags += ["--campaign", draw(st.integers(0, 3))]
+    return rows, sub, flags
+
+
+class TestCliProperty:
+    @settings(deadline=None)
+    @given(_cli_runs())
+    def test_documented_exit_and_one_error_line(self, run_args):
+        rows, sub, flags = run_args
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            path = write_corpus_csv(rows, tmp / "c.csv")
+            outputs = []
+            for rerun in ("a", "b"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = cli(sub, "--input", path, "--out", tmp / rerun, *flags)
+                assert code in (0, 2, 3, 4)
+                assert "Traceback" not in err.getvalue()
+                if code:
+                    lines = err.getvalue().splitlines()
+                    assert len(lines) == 1 and set(json.loads(lines[0])) >= {"error", "message"}
+                    return
+                outputs.append(artifact_bytes(tmp / rerun))
+            assert outputs[0] == outputs[1]
 
 
 class TestForkPolicy:

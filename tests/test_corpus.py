@@ -4,6 +4,7 @@ import json
 import re
 import tempfile
 from collections import Counter
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from chronosem import (
     DEFAULT_STOPWORDS,
     Document,
-    TokenizerConfig,
     build_vocabulary,
     load_corpus,
     load_stopwords,
@@ -47,7 +47,7 @@ CAMPAIGN4_MERGED_TEXT = (
     "#gas use and tell us what you think we could all do to make it better!"
 )
 
-NO_STOPWORDS = TokenizerConfig(stopwords=frozenset())
+NO_STOPWORDS = frozenset()
 
 
 class TestTokenize:
@@ -81,7 +81,7 @@ class TestTokenize:
             "Too twired to teet, too mailed out to e-shag.",
             "@someone you've got #hashtags &amp; URLs http://t.co/x",
         ]
-        for cfg in (TokenizerConfig(), NO_STOPWORDS):
+        for cfg in (DEFAULT_STOPWORDS, NO_STOPWORDS):
             for text in texts:
                 once = tokenize(text, cfg)
                 again = tokenize(" ".join(once), cfg)
@@ -221,9 +221,9 @@ class TestThreshold:
     def test_each_document_tokenized_once(self, monkeypatch):
         calls = []
 
-        def counting(raw_text, config=TokenizerConfig()):
+        def counting(raw_text, stopwords=DEFAULT_STOPWORDS):
             calls.append(raw_text)
-            return tokenize(raw_text, config)
+            return tokenize(raw_text, stopwords)
 
         monkeypatch.setattr(corpus, "tokenize", counting)
         docs = docs_from_rows(synthetic_corpus_rows(docs_per_campaign=8))
@@ -232,7 +232,7 @@ class TestThreshold:
 
     def test_term_block_matches_tokenizer_counts(self):
         docs = docs_from_rows(synthetic_corpus_rows(docs_per_campaign=8))
-        for cfg, thresholds in ((TokenizerConfig(), (3, 3)), (NO_STOPWORDS, (2, 4))):
+        for cfg, thresholds in ((DEFAULT_STOPWORDS, (3, 3)), (NO_STOPWORDS, (2, 4))):
             tdm = threshold_matrix(docs, build_vocabulary(docs, cfg), *thresholds)
             by_seq = {d.seq_no: Counter(tokenize(d.raw_text, cfg)) for d in docs}
             expected = [[by_seq[int(s)][t] for t in tdm.terms] for s in tdm.seq_nos]
@@ -277,6 +277,22 @@ class TestMergeInitiating:
         out = merge_adjacent_initiating(self._docs())
         assert [d.seq_no for d in out] == [302, 303, 410]
         assert out[1].raw_text == "gas week one gas week two"
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=15))
+    def test_auto_merge_equals_merge_initiating_per_run(self, runs):
+        # (0, c): an ordinary document; (k, c): k initiators of campaign c
+        docs = []
+        for size, campaign in runs:
+            for k in range(max(size, 1)):
+                n = len(docs) + 1
+                docs.append(Document(n, f"text{n}", size > 0, campaign))
+        expected = []
+        for (init, _), run in groupby(
+            docs, key=lambda d: (d.is_initiating, d.campaign if d.is_initiating else d.seq_no)
+        ):
+            run = list(run)
+            expected.append(merge_initiating(docs, [d.seq_no for d in run]) if init else run[0])
+        assert merge_adjacent_initiating(docs) == expected
 
 
 class TestCorpusIO:

@@ -34,31 +34,22 @@ def fitted_corpus(**kwargs):
 
 class TestSignificance:
     def test_reference_arithmetic(self):
-        z, tail = significance(D_FULL, (MEAN, STDEV))
+        z, tail = significance(D_FULL, MEAN, STDEV)
         assert z == pytest.approx(-2.168451, abs=1e-5)
         assert tail == pytest.approx(3.01, abs=0.02)  # two-sided ~3%, one-sided 1.5%
         assert MEAN - 2 * STDEV == pytest.approx(4.368352, abs=5e-6)
 
     def test_distance_at_mean(self):
-        z, tail = significance(MEAN, (MEAN, STDEV))
+        z, tail = significance(MEAN, MEAN, STDEV)
         assert z == 0.0
         assert tail == pytest.approx(100.0, abs=1e-9)
 
     def test_degenerate_spread(self):
         with pytest.raises(DegenerateSpread):
-            significance(1.0, (1.0, 0.0))
+            significance(1.0, 1.0, 0.0)
 
     def test_pure_function(self):
-        assert significance(D_FULL, (MEAN, STDEV)) == significance(
-            D_FULL, (MEAN, STDEV)
-        )
-
-    def test_accepts_pairwise_stats_object(self):
-        rng = np.random.default_rng(0)
-        stats = pairwise_distance_stats(rng.standard_normal((30, 4)))
-        z1, t1 = significance(1.0, stats)
-        z2, t2 = significance(1.0, (stats.mean, stats.stdev))
-        assert (z1, t1) == (z2, t2)
+        assert significance(D_FULL, MEAN, STDEV) == significance(D_FULL, MEAN, STDEV)
 
 
 class TestPairwiseStats:
@@ -78,8 +69,8 @@ class TestPairwiseStats:
     def test_percent_below(self):
         stats = pairwise_distance_stats(np.array([[0.0], [1.0], [3.0]]))
         # distances: 1, 2, 3
-        assert stats.percent_below(2.5) == pytest.approx(100 * 2 / 3)
-        assert stats.percent_below(0.5) == 0.0
+        assert stats.percents_below([2.5])[0] == pytest.approx(100 * 2 / 3)
+        assert stats.percents_below([0.5])[0] == 0.0
 
     def test_percent_below_equals_sorted_search(self):
         from scipy.spatial.distance import pdist
@@ -93,7 +84,7 @@ class TestPairwiseStats:
             probes = np.concatenate((ordered, ordered + 0.5, [-1.0, 0.0]))
             for d in probes:
                 below = np.searchsorted(ordered, d, side="left")
-                assert stats.percent_below(d) == 100.0 * below / stats.n_pairs
+                assert stats.percents_below([d])[0] == 100.0 * below / stats.n_pairs
 
     def test_percents_below_equals_one_search_per_distance(self):
         from scipy.spatial.distance import pdist
@@ -199,7 +190,7 @@ class TestImpactReport:
         assert {c.campaign for c in report.campaigns} == set(tdm.campaign_ids)
         for c in report.campaigns:
             z, tail = significance(
-                c.distance_full, (report.mean_pairwise, report.stdev_pairwise)
+                c.distance_full, report.mean_pairwise, report.stdev_pairwise
             )
             assert c.z_score == pytest.approx(z, abs=1e-12)
             assert c.one_sided_tail_percent == pytest.approx(tail / 2, abs=1e-12)

@@ -118,7 +118,7 @@ def _started_pools(monkeypatch) -> list:
 def test_artifacts_independent_of_worker_count(tmp_path, monkeypatch, name):
     path = CORPORA[name](tmp_path)
     started = _started_pools(monkeypatch)
-    pools = []  # pools started per run: the formatting pool; the gates stay inline
+    pools = []  # pools started per run: the formatting pool, and under all the gates'
     outputs = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(_workers, "_default_workers", lambda: workers)
@@ -129,7 +129,7 @@ def test_artifacts_independent_of_worker_count(tmp_path, monkeypatch, name):
             assert main([sub, "--input", str(path), "--out", str(out)]) == 0
             pools.append(len(started) - before)
             outputs[sub, workers] = artifact_bytes(out)
-    assert pools == [0, 0, 1, 1, 1, 1]
+    assert pools == [0, 0, 1, 2, 1, 2]
     for sub in ("ca", "all"):
         assert outputs[sub, 2] == outputs[sub, 1]
         assert outputs[sub, 3] == outputs[sub, 1]

@@ -251,7 +251,6 @@ class TestGatePool:
     def pooled(self, monkeypatch):
         """Run every segment() below through the pool; returns the number of
         results collected from the workers."""
-        monkeypatch.setattr(segmentation, "_POOL_MIN_DRAWS", 0)
         collected = []
         collect = _workers._Pool._collect
 
@@ -348,7 +347,6 @@ class TestGatePool:
             import sys, time
             import numpy as np
             from chronosem import _workers as W, segmentation as S
-            S._POOL_MIN_DRAWS = 0
             W._default_workers = lambda: 2
             call = W._Pool.__call__
             def stalled(pool, key, ahead):
@@ -393,14 +391,6 @@ class TestGatePool:
         assert here.recv() == inline.tests
         child.join(10)
         assert child.exitcode == 0
-
-    def test_small_runs_stay_inline(self, monkeypatch):
-        monkeypatch.setattr(_workers, "_default_workers", lambda: 2)
-        monkeypatch.setattr(_workers, "_Pool", None)  # would fail if used
-        pts = dict(_pool_clouds())["random"]
-        assert (len(pts) - 1) * 5000 < segmentation._POOL_MIN_DRAWS
-        res = segment(pts, PermTestConfig(rng_seed=2))
-        assert len(res.tests) == len(pts) - res.n_segments + len(res.blocked)
 
 
 class TestCodedMatrix:
@@ -501,13 +491,3 @@ class TestSegmentCentroids:
         for k in np.flatnonzero(single):
             expected = project_supplementary_row(fmap.model, dense_sums[k, kept])
             assert np.array_equal(fmap.coords[k], expected)
-
-    def test_principal_policy_keeps_singletons_active(self):
-        rng = np.random.default_rng(5)
-        counts = rng.integers(0, 3, size=(5, 10)) + 1
-        res = SegmentationResult(
-            segments=[[0, 1], [2], [3, 4]], blocked=[], tests=[]
-        )
-        fmap = segment_centroids_as_supplementary(res, counts, "principal")
-        assert not fmap.supplementary.any()
-        assert fmap.model.row_coords.shape[0] == 3
