@@ -239,7 +239,7 @@ class _Pipeline:
     @cached_property
     def dist(self):
         """Distance matrix of the ``coords`` view, built by cluster and shared
-        with segment and impact."""
+        with impact."""
         return distance_matrix(self.coords)
 
     # -- stages ----------------------------------------------------------
@@ -293,10 +293,7 @@ class _Pipeline:
             n_permutations=self.config.n_permutations,
             rng_seed=self.config.rng_seed,
         )
-        # the matrix only if cluster built it; alone, segment reads just the
-        # distance blocks it needs
-        dist = self.__dict__.get("dist")
-        result = segmentation.segment(self.coords, config, ids=self.seq, dist=dist)
+        result = segmentation.segment(self.coords, config, ids=self.seq)
         fmap = segmentation.segment_centroids_as_supplementary(
             result, self.tdm.principal_counts()
         )
@@ -472,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # every failure ends in one JSON line, never a traceback
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConfigError) and ": " in str(exc):
-            payload["path"] = str(exc).rsplit(": ", 1)[-1]
+            payload["path"] = str(exc).split(": ", 1)[1]
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return exc.exit_code if isinstance(exc, ChronosemError) else UNEXPECTED_ERROR_EXIT
     for path in paths:

@@ -93,8 +93,8 @@ def pdist(points) -> np.ndarray:
 
 
 def distance_matrix(points) -> np.ndarray:
-    """Read-only square form of :func:`pdist`, the input of :func:`cluster`
-    and :func:`chronosem.segmentation.segment`."""
+    """Read-only square form of :func:`pdist`, an input of :func:`cluster`
+    and :func:`chronosem.impact.build_impact_report`."""
     dist = squareform(pdist(points))
     dist.flags.writeable = False
     return dist
@@ -111,18 +111,12 @@ def _square_for(pts: np.ndarray, dist) -> np.ndarray:
     return dist
 
 
-def _distance_blocks(pts: np.ndarray, dist=None) -> Callable[[slice, slice], np.ndarray]:
+def _distance_blocks(pts: np.ndarray) -> Callable[[slice, slice], np.ndarray]:
     """``block(a, b)``: the distances between the rows ``pts[a]`` and
-    ``pts[b]``.
-
-    With ``dist`` it reads a view of that square matrix.  Without it, it
-    computes each block with ``cdist``, the kernel :func:`pdist` uses, so
-    every value equals ``distance_matrix(pts)[a, b]`` bit for bit and no
-    n×n matrix is built.
+    ``pts[b]``, each block computed with ``cdist``, the kernel :func:`pdist`
+    uses, so every value equals ``distance_matrix(pts)[a, b]`` bit for bit
+    and no n×n matrix is built.
     """
-    if dist is not None:
-        square = _square_for(pts, dist)
-        return lambda a, b: square[a, b]
     rows = np.ascontiguousarray(pts)
     return lambda a, b: cdist(rows[a], rows[b])
 
@@ -235,8 +229,8 @@ def cluster(points, ids: list[int] | None = None, dist=None) -> Dendrogram:
     if ids is not None and len(ids) != n:
         raise DimensionMismatch("ids length does not match points")
     # the ungated dendrogram reads every pair, so it always gets the matrix
-    square = distance_matrix(pts) if dist is None else dist
-    merges, intervals, _ = _agglomerate(_distance_blocks(pts, square), n)
+    square = _square_for(pts, dist)
+    merges, intervals, _ = _agglomerate(lambda a, b: square[a, b], n)
     return Dendrogram(
         leaves=list(ids) if ids is not None else list(range(n)),
         merges=merges,

@@ -83,6 +83,10 @@ class SegmentationResult:
         return [seg[0] for seg in self.segments if len(seg) == 1]
 
 
+# no meaningful split of fewer than 3 objects: fuse, flagged
+_DEGENERATE = PermTestResult(h=0, p=1.0, decision=FUSE, degenerate=True)
+
+
 def _coded_matrix(dist_matrix: np.ndarray) -> np.ndarray:
     """0/1 matrix coding each pairwise distance; the half strictly above the
     median is 1 (ties at the median conservatively 0).
@@ -90,8 +94,7 @@ def _coded_matrix(dist_matrix: np.ndarray) -> np.ndarray:
     The median is taken over the sorted condensed pairs (the middle pair, or
     the mean of the two middle pairs, as ``np.median`` returns it) and the
     square matrix is coded directly; its zero diagonal codes 0.
-    ``dist_matrix`` is symmetric and is only read, as it may be a view of a
-    shared read-only matrix.
+    ``dist_matrix`` is symmetric and is only read.
     """
     pairs = np.sort(squareform(dist_matrix, checks=False))
     half = len(pairs) // 2
@@ -124,10 +127,8 @@ def _test_from_distances(
     config: PermTestConfig,
     seed_seq: np.random.SeedSequence,
 ) -> PermTestResult:
-    m = dist_matrix.shape[0]
-    if m < 3:
-        # no meaningful split of fewer than 3 objects: fuse, flagged
-        return PermTestResult(h=0, p=1.0, decision=FUSE, degenerate=True)
+    if dist_matrix.shape[0] < 3:
+        return _DEGENERATE
     coded = _coded_matrix(dist_matrix)
     h = int(coded[:n_a, n_a:].sum())
     rng = np.random.Generator(np.random.Philox(seed_seq))
@@ -173,6 +174,8 @@ _LOOKAHEAD = 8  # predicted proposals offered to the workers at each gate
 
 def _gate(block: Callable, config: PermTestConfig, key: GateKey) -> PermTestResult:
     t, start, split, stop = key
+    if stop - start < 3:
+        return _DEGENERATE  # no distance is read for a union that is not tested
     union = slice(start, stop)
     seed_seq = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(t,))
     return _test_from_distances(block(union, union), split - start, config, seed_seq)
@@ -182,7 +185,6 @@ def segment(
     points,
     config: PermTestConfig = PermTestConfig(),
     ids: list[int] | None = None,
-    dist=None,
 ) -> SegmentationResult:
     """Split a chronological point sequence into homogeneous segments.
 
@@ -193,10 +195,9 @@ def segment(
     Reproducible bit-for-bit for a fixed ``config.rng_seed``: test t draws
     its permutations from an independently seeded stream (seed, t), so
     replicates may be evaluated in parallel without changing decisions.
-    ``dist`` is an optional (n, n) distance matrix of the points, as built
-    by :func:`chronosem.cluster.distance_matrix`.  Without it no matrix is
-    built: the links and gates compute only the distance blocks they read,
-    with the same bits the matrix would hold.
+    No distance matrix is built: the links and gates compute only the
+    distance blocks they read, with the bits
+    :func:`chronosem.cluster.distance_matrix` would hold.
     """
     pts = _validate_points(points)
     n = len(pts)
@@ -205,7 +206,7 @@ def segment(
     ids = list(range(n)) if ids is None else list(ids)
     if len(ids) != n:
         raise DimensionMismatch("ids length does not match points")
-    block = _distance_blocks(pts, dist)
+    block = _distance_blocks(pts)
     tests: list[BoundaryTest] = []
 
     def gate(left: range, right: range, upcoming) -> bool:

@@ -158,9 +158,23 @@ class TestSharedDistances:
                    "--permutations", 200) == 0
         assert len(calls) == builds
 
-    @pytest.mark.parametrize("dims", ["full", "plane"])
-    def test_all_matches_separate_subcommands(self, tmp_path, dims):
-        flags = ("--input", SYNTHETIC3, "--dims", dims, "--seed", 5, "--permutations", 300)
+    @pytest.mark.parametrize(
+        "blocks, dims",
+        [
+            pytest.param(False, "full", id="full"),
+            pytest.param(False, "plane", id="plane"),
+            # a cloud of many factors, as the benchmark corpora give
+            pytest.param(True, "full", id="blocks-full"),
+            pytest.param(True, "plane", id="blocks-plane"),
+        ],
+    )
+    def test_all_matches_separate_subcommands(self, tmp_path, blocks, dims):
+        corpus = (
+            write_corpus_csv(scale_corpus_rows(n_blocks=4), tmp_path / "blocks.csv")
+            if blocks
+            else SYNTHETIC3
+        )
+        flags = ("--input", corpus, "--dims", dims, "--seed", 5, "--permutations", 300)
         assert cli("all", "--out", tmp_path / "all", *flags) == 0
         for stage in ("cluster", "segment", "impact"):
             out = tmp_path / stage
@@ -269,6 +283,13 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["path"].endswith("nope.csv")
+
+    @pytest.mark.parametrize("flag", ["--input", "--stopwords"])
+    def test_error_path_keeps_a_colon_in_the_name(self, tmp_path, capsys, flag):
+        missing = tmp_path / "no: such.csv"
+        argv = [flag, missing] if flag == "--input" else ["--input", SYNTHETIC3, flag, missing]
+        assert cli("ingest", *argv, "--out", tmp_path / "x") == 2
+        assert json.loads(capsys.readouterr().err)["path"] == str(missing)
 
     def test_drilldown_requires_campaign(self, tmp_path, capsys):
         code = cli("drilldown", "--input", SYNTHETIC3, "--out", tmp_path / "x")

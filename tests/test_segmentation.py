@@ -28,7 +28,6 @@ from chronosem.segmentation import (
     _coded_matrix,
     _test_from_distances,
 )
-from chronosem.cluster import distance_matrix
 from helpers import docs_from_rows, scale_corpus_rows, synthetic_corpus_rows, three_blob_points
 from oracles import (
     constrained_complete_link_bruteforce,
@@ -207,25 +206,29 @@ class TestSegment:
                     list(range(lo, hi)) for lo, hi in zip([0] + cuts, cuts + [n])
                 ]
 
-    @pytest.mark.parametrize("cloud", ["ca_rows", "random"])
-    def test_on_demand_blocks_equal_shared_matrix(self, cloud):
-        if cloud == "ca_rows":
-            docs = docs_from_rows(scale_corpus_rows(n_blocks=4))
-            tdm = threshold_matrix(docs, build_vocabulary(docs), 5, 5)
-            pts = fit_ca(tdm.principal_counts())[1].row_coords
-        else:
-            pts = np.random.default_rng(5).standard_normal((300, 50))
-        cfg = PermTestConfig(alpha=0.15, n_permutations=300, rng_seed=4)
-        on_demand = segment(pts, cfg)
-        shared = segment(pts, cfg, dist=distance_matrix(pts))
-        assert on_demand.tests == shared.tests  # every BoundaryTest field
-        assert on_demand.blocked == shared.blocked
-        assert on_demand.segments == shared.segments
+    def test_degenerate_unions_read_no_distances(self, monkeypatch):
+        monkeypatch.setattr(_workers, "_default_workers", lambda: 1)
+        reads = []
+        blocks = segmentation._distance_blocks
 
-    def test_given_matrix_is_checked(self):
-        pts = np.random.default_rng(6).standard_normal((8, 3))
-        with pytest.raises(DimensionMismatch):
-            segment(pts, dist=distance_matrix(pts[:-1]))
+        def recorded(pts):
+            block = blocks(pts)
+
+            def read(a, b):
+                reads.append((a, b))
+                return block(a, b)
+
+            return read
+
+        monkeypatch.setattr(segmentation, "_distance_blocks", recorded)
+        pts = np.random.default_rng(5).standard_normal((120, 6))
+        res = segment(pts, PermTestConfig(alpha=0.15, n_permutations=100, rng_seed=4))
+        # a gate reads its union's square block; a link reads two disjoint groups
+        unions = [a.stop - a.start for a, b in reads if a == b]
+        degenerate = [t for t in res.tests if t.degenerate]
+        assert degenerate and min(unions) >= 3
+        assert len(unions) == len(res.tests) - len(degenerate)
+        assert {(t.h, t.p, t.decision) for t in degenerate} == {(0, 1.0, "fuse")}
 
     def test_one_point_is_one_segment(self):
         res = segment(np.ones((1, 3)), PermTestConfig(rng_seed=0), ids=[7])
