@@ -29,7 +29,7 @@ import scipy
 from . import __version__, ca, corpus, impact, segmentation
 from ._workers import solver
 from .cluster import cluster as build_dendrogram
-from .cluster import dendrogram_csv_rows, dendrogram_json_dict, distance_matrix, to_newick
+from .cluster import dendrogram_csv_rows, dendrogram_json_dict, to_newick
 from .errors import ChronosemError, ConfigError
 
 SUBCOMMANDS = {
@@ -238,9 +238,10 @@ class _Pipeline:
 
     @cached_property
     def dist(self):
-        """Distance matrix of the ``coords`` view, built by cluster and shared
-        with impact."""
-        return distance_matrix(self.coords)
+        """Condensed distances of the ``coords`` view, built by cluster and
+        shared with impact.  ``pdist`` is looked up on ``impact`` at call
+        time, so a wrapper set on that module sees this build too."""
+        return impact.pdist(self.coords)
 
     # -- stages ----------------------------------------------------------
     def stage_ingest(self):
@@ -338,9 +339,9 @@ class _Pipeline:
         self.artifacts.append(_write_csv(self.out / "segments.csv", rows))
 
     def stage_impact(self):
-        # impact is the chain's last user of the cached matrix, so release
-        # it here.  Under --dims full it also covers impact; otherwise, and
-        # when impact runs alone, impact builds only the condensed distances.
+        # impact is the chain's last user of the cached distances, so
+        # release them here.  Under --dims full they are impact's own; under
+        # --dims plane, and when impact runs alone, impact builds them.
         dist = self.__dict__.pop("dist", None)
         if self.config.dims != "full":
             dist = None

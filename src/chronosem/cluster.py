@@ -92,30 +92,21 @@ def pdist(points) -> np.ndarray:
     return out
 
 
-def distance_matrix(points) -> np.ndarray:
-    """Read-only square form of :func:`pdist`, an input of :func:`cluster`
-    and :func:`chronosem.impact.build_impact_report`."""
-    dist = squareform(pdist(points))
-    dist.flags.writeable = False
-    return dist
-
-
-def _square_for(pts: np.ndarray, dist) -> np.ndarray:
-    """``dist`` checked against the points, or their distance matrix."""
-    if dist is None:
-        return distance_matrix(pts)
-    if np.shape(dist) != (len(pts), len(pts)):
+def _condensed(dist, n: int) -> np.ndarray:
+    """``dist`` as given, checked to be the condensed distances of n points
+    (the vector :func:`pdist` returns); a square matrix is rejected."""
+    if np.shape(dist) != (n * (n - 1) // 2,):
         raise DimensionMismatch(
-            f"distance matrix shape {np.shape(dist)} does not match {len(pts)} points"
+            f"distance vector shape {np.shape(dist)} does not match {n} points"
         )
-    return dist
+    return np.asarray(dist)
 
 
 def _distance_blocks(pts: np.ndarray) -> Callable[[slice, slice], np.ndarray]:
     """``block(a, b)``: the distances between the rows ``pts[a]`` and
     ``pts[b]``, each block computed with ``cdist``, the kernel :func:`pdist`
-    uses, so every value equals ``distance_matrix(pts)[a, b]`` bit for bit
-    and no n×n matrix is built.
+    uses, so every value equals ``squareform(pdist(pts))[a, b]`` bit for
+    bit and no n×n matrix is built.
     """
     rows = np.ascontiguousarray(pts)
     return lambda a, b: cdist(rows[a], rows[b])
@@ -216,8 +207,8 @@ def cluster(points, ids: list[int] | None = None, dist=None) -> Dendrogram:
         dimensionality is intended; pass a column slice to explore planar
         sub-spaces.
     ids : optional document ids for the leaves (defaults to 0..n-1).
-    dist : optional (n, n) distance matrix of the points, as built by
-        :func:`distance_matrix`; computed when omitted.
+    dist : optional condensed distances of the points, as returned by
+        :func:`pdist`; computed when omitted.
 
     Returns a :class:`Dendrogram` with exactly n-1 merges whose heights are
     non-decreasing and whose clusters are contiguous intervals.
@@ -228,8 +219,8 @@ def cluster(points, ids: list[int] | None = None, dist=None) -> Dendrogram:
         raise DimensionMismatch("need at least 2 points to cluster")
     if ids is not None and len(ids) != n:
         raise DimensionMismatch("ids length does not match points")
-    # the ungated dendrogram reads every pair, so it always gets the matrix
-    square = _square_for(pts, dist)
+    # the ungated dendrogram reads every pair, so it squares the distances
+    square = squareform(pdist(pts) if dist is None else _condensed(dist, n))
     merges, intervals, _ = _agglomerate(lambda a, b: square[a, b], n)
     return Dendrogram(
         leaves=list(ids) if ids is not None else list(range(n)),

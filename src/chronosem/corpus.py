@@ -171,17 +171,12 @@ class TermDocMatrix:
 
     def supplementary_rows(self) -> list[tuple[int, int, np.ndarray]]:
         """(seq_no, campaign, term-count vector) per supplementary row."""
-        out = []
-        dense = self.counts[:, : self.n_terms]
-        for i in np.flatnonzero(self.row_supplementary):
-            out.append(
-                (
-                    int(self.seq_nos[i]),
-                    int(self.campaigns[i]),
-                    np.asarray(dense[i].todense()).ravel(),
-                )
-            )
-        return out
+        rows = np.flatnonzero(self.row_supplementary)
+        counts = self.counts[rows, : self.n_terms].toarray()
+        return [
+            (int(self.seq_nos[i]), int(self.campaigns[i]), vector)
+            for i, vector in zip(rows, counts)
+        ]
 
 
 def threshold_matrix(

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import squareform
 
 from . import ca
-from .cluster import _square_for, pdist
+from .cluster import _condensed, pdist
 from .corpus import TermDocMatrix
 from .errors import DegenerateSpread, EmptyCampaign
 
@@ -31,7 +30,7 @@ class PairwiseStats:
     mean: float
     stdev: float  # population standard deviation over the n(n-1)/2 pairs
     n_pairs: int
-    distances: np.ndarray = field(repr=False, default=None)  # condensed, pdist order
+    distances: np.ndarray = field(repr=False)  # condensed, pdist order
 
     def percents_below(self, ds) -> np.ndarray:
         """Empirical percentile of every d in ``ds``: the share of pairwise
@@ -53,17 +52,14 @@ class PairwiseStats:
 def pairwise_distance_stats(coords: np.ndarray, dist=None) -> PairwiseStats:
     """Mean/stdev/quantile base over all point pairs of a coordinate cloud.
 
-    ``dist`` is an optional square distance matrix of ``coords``, as built
-    by :func:`chronosem.cluster.distance_matrix`; without it the condensed
-    distances are computed directly.
+    ``dist`` is an optional condensed distance vector of ``coords``, as
+    returned by :func:`chronosem.cluster.pdist`, used without a copy;
+    without it the distances are computed here.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or len(coords) < 2:
         raise DegenerateSpread("need at least two points for pairwise statistics")
-    if dist is None:
-        dists = pdist(coords)
-    else:
-        dists = squareform(_square_for(coords, dist), checks=False)
+    dists = pdist(coords) if dist is None else _condensed(dist, len(coords))
     return PairwiseStats(
         mean=float(dists.mean()),
         stdev=float(dists.std()),
@@ -173,7 +169,7 @@ def build_impact_report(
     initiator (their term counts are pooled).  Campaigns without a usable
     initiating document or without ordinary member documents are listed in
     ``skipped`` instead of failing the whole report.  ``dist`` is an
-    optional square distance matrix of ``model.row_coords``.
+    optional condensed distance vector of ``model.row_coords``.
     """
     principal_counts = tdm.principal_counts()
     principal_campaigns = tdm.principal_campaigns()

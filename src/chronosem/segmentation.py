@@ -196,8 +196,8 @@ def segment(
     its permutations from an independently seeded stream (seed, t), so
     replicates may be evaluated in parallel without changing decisions.
     No distance matrix is built: the links and gates compute only the
-    distance blocks they read, with the bits
-    :func:`chronosem.cluster.distance_matrix` would hold.
+    distance blocks they read, with the bits of
+    :func:`chronosem.cluster.pdist`.
     """
     pts = _validate_points(points)
     n = len(pts)

@@ -158,6 +158,25 @@ class TestSharedDistances:
                    "--permutations", 200) == 0
         assert len(calls) == builds
 
+    def test_impact_scores_against_the_vector_cluster_got(self, tmp_path, monkeypatch):
+        build, stats = cli_module.build_dendrogram, impact.pairwise_distance_stats
+        handed, scored = [], []
+
+        def recording_build(points, ids=None, dist=None):
+            handed.append(dist)
+            return build(points, ids=ids, dist=dist)
+
+        def recording_stats(coords, dist=None):
+            scored.append(stats(coords, dist))
+            return scored[-1]
+
+        monkeypatch.setattr(cli_module, "build_dendrogram", recording_build)
+        monkeypatch.setattr(impact, "pairwise_distance_stats", recording_stats)
+        assert cli("all", "--input", SYNTHETIC3, "--out", tmp_path, "--dims", "full",
+                   "--permutations", 200) == 0
+        assert len(handed) == len(scored) == 1
+        assert scored[0].distances is handed[0]
+
     @pytest.mark.parametrize(
         "blocks, dims",
         [

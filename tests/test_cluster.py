@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from chronosem import _workers, cluster, cut, to_newick
-from chronosem.cluster import dendrogram_csv_rows, dendrogram_json_dict, distance_matrix
+from chronosem.cluster import dendrogram_csv_rows, dendrogram_json_dict
 from chronosem.errors import DimensionMismatch, InvalidK
 from oracles import constrained_complete_link_bruteforce
 
@@ -152,19 +152,17 @@ class TestDistanceMatrix:
         built = []
         for workers in (1, 2):
             monkeypatch.setattr(cluster_module, "_default_workers", lambda w=workers: w)
-            built.append((cluster_module.pdist(pts), distance_matrix(pts)))
-        (cond1, square1), (cond2, square2) = built
+            built.append(cluster_module.pdist(pts))
+        cond1, cond2 = built
         assert np.array_equal(cond1, cond2)
-        assert np.array_equal(square1, square2)
         assert np.array_equal(cond1, pdist(pts))
-        assert np.array_equal(square1, squareform(pdist(pts)))
 
     def test_read_only(self):
         pts = np.random.default_rng(0).standard_normal((40, 3))
-        for dist in (cluster_module.pdist(pts), distance_matrix(pts)):
-            assert not dist.flags.writeable
-            with pytest.raises(ValueError):
-                dist[1] = 0.0
+        dist = cluster_module.pdist(pts)
+        assert not dist.flags.writeable
+        with pytest.raises(ValueError):
+            dist[1] = 0.0
 
     @pytest.mark.parametrize(
         "affinity, cpu_count, workers",
@@ -184,7 +182,7 @@ class TestDistanceMatrix:
     def test_blocks_equal_matrix_bit_for_bit(self, shape, cols):
         rng = np.random.default_rng(shape[1])
         pts = rng.standard_normal(shape)[:, cols]
-        square = distance_matrix(pts)
+        square = squareform(pdist(pts))
         block = cluster_module._distance_blocks(pts)
         n = len(pts)
         pairs = [
@@ -203,7 +201,7 @@ class TestDistanceMatrix:
 
     def test_given_matrix_is_used_and_checked(self):
         pts = np.random.default_rng(2).standard_normal((12, 3))
-        dendro = cluster(pts, dist=distance_matrix(pts))
+        dendro = cluster(pts, dist=cluster_module.pdist(pts))
         assert dendro.heights().tolist() == cluster(pts).heights().tolist()
         with pytest.raises(DimensionMismatch):
-            cluster(pts, dist=distance_matrix(pts[:-1]))
+            cluster(pts, dist=cluster_module.pdist(pts[:-1]))

@@ -5,6 +5,7 @@ from chronosem import (
     build_impact_report,
     build_vocabulary,
     campaign_centroid,
+    cluster,
     drilldown,
     fit_ca,
     impact_distance,
@@ -12,7 +13,8 @@ from chronosem import (
     significance,
     threshold_matrix,
 )
-from chronosem.errors import DegenerateSpread, EmptyCampaign
+from chronosem.errors import DegenerateSpread, DimensionMismatch, EmptyCampaign
+from chronosem.impact import PairwiseStats
 from helpers import docs_from_rows, synthetic_corpus_rows
 from oracles import weighted_mean_coords
 
@@ -117,15 +119,39 @@ class TestPairwiseStats:
     def test_moments_equal_condensed_pdist_bit_for_bit(self):
         from scipy.spatial.distance import pdist
 
-        from chronosem.cluster import distance_matrix
+        from chronosem.cluster import pdist as threaded_pdist
 
         coords = np.random.default_rng(5).standard_normal((250, 4))
         condensed = pdist(coords)
-        for dist in (None, distance_matrix(coords)):
+        for dist in (None, threaded_pdist(coords)):
             stats = pairwise_distance_stats(coords, dist)
             assert stats.mean == float(condensed.mean())
             assert stats.stdev == float(condensed.std())
             assert np.array_equal(stats.distances, condensed)
+            assert dist is None or stats.distances is dist  # used without a copy
+
+    @pytest.mark.parametrize("form", ["short", "long", "square"])
+    def test_wrong_distances_rejected(self, form):
+        from scipy.spatial.distance import pdist, squareform
+
+        tdm, model = fitted_corpus()
+        coords = model.row_coords
+        dist = {
+            "short": pdist(coords[:-1]),
+            "long": pdist(np.vstack([coords, coords[:1]])),
+            "square": squareform(pdist(coords)),  # an (n, n) matrix
+        }[form]
+        for call in (
+            lambda: cluster(coords, dist=dist),
+            lambda: pairwise_distance_stats(coords, dist),
+            lambda: build_impact_report(tdm, model, dist),
+        ):
+            with pytest.raises(DimensionMismatch):
+                call()
+
+    def test_distances_are_required(self):
+        with pytest.raises(TypeError):
+            PairwiseStats(mean=0.0, stdev=1.0, n_pairs=1)
 
 
 class TestCampaignCentroid:
