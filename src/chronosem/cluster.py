@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist, squareform
+from scipy.spatial.distance import cdist
 
 from ._workers import _default_workers
 from .errors import DimensionMismatch, InvalidK
@@ -35,7 +35,7 @@ class Dendrogram:
 
     leaves: list[int]  # document ids in sequence order
     merges: list[Merge]
-    intervals: dict = field(repr=False, default_factory=dict)  # id -> (start, end)
+    intervals: dict = field(repr=False)  # cluster id -> (start, end)
 
     @property
     def n_leaves(self) -> int:
@@ -105,14 +105,14 @@ def _condensed(dist, n: int) -> np.ndarray:
 def _distance_blocks(pts: np.ndarray) -> Callable[[slice, slice], np.ndarray]:
     """``block(a, b)``: the distances between the rows ``pts[a]`` and
     ``pts[b]``, each block computed with ``cdist``, the kernel :func:`pdist`
-    uses, so every value equals ``squareform(pdist(pts))[a, b]`` bit for
-    bit and no n×n matrix is built.
+    uses, so every value equals the one :func:`pdist` gives for that pair
+    bit for bit and no n×n matrix is built.
     """
     rows = np.ascontiguousarray(pts)
     return lambda a, b: cdist(rows[a], rows[b])
 
 
-def _upcoming(heights: np.ndarray, pos: int, starts: list, ends: list, k: int) -> list:
+def _upcoming(heights: np.ndarray, pos: int, bounds: list, k: int) -> list:
     """``(start, split, stop)`` of up to k boundaries the loop will most
     likely propose after the one at ``pos``, in order: the groups
     ``start..split-1`` and ``split..stop-1``.
@@ -132,7 +132,7 @@ def _upcoming(heights: np.ndarray, pos: int, starts: list, ends: list, k: int) -
         if len(ahead) == k or height == np.inf:
             break
         if q not in changing:
-            ahead.append((starts[q], starts[q + 1], ends[q + 1] + 1))
+            ahead.append((bounds[q], bounds[q + 1], bounds[q + 2]))
             changing.update((q - 1, q + 1))
     return ahead
 
@@ -141,7 +141,7 @@ def _agglomerate(
     block: Callable[[slice, slice], np.ndarray],
     n: int,
     gate: Callable[[range, range, Callable[[int], list]], bool] | None = None,
-) -> tuple[list[Merge], dict, list[tuple[int, int]]]:
+) -> tuple[list[Merge], dict, list[int]]:
     """Constrained complete-link agglomeration of n points in sequence.
 
     ``block(a, b)`` returns the distances between the points of the slices
@@ -159,11 +159,10 @@ def _agglomerate(
     cluster remains or every boundary is blocked.
 
     Returns the merges, the interval ``(start, end)`` of every cluster id
-    (leaves 0..n-1, internal n+step) and the surviving intervals in
-    sequence order.
+    (leaves 0..n-1, internal n+step) and the boundaries of the surviving
+    clusters: cluster k holds ``bounds[k]..bounds[k+1]-1``.
     """
-    starts = list(range(n))
-    ends = list(range(n))
+    bounds = list(range(n + 1))
     ids = list(range(n))
     # link between clusters pos and pos+1; distances are finite (see
     # _validate_points), so inf marks a blocked boundary, whose link is
@@ -175,26 +174,25 @@ def _agglomerate(
         pos = int(np.argmin(links))
         if links[pos] == np.inf:
             break
-        left = range(starts[pos], ends[pos] + 1)
-        right = range(starts[pos + 1], ends[pos + 1] + 1)
+        left = range(bounds[pos], bounds[pos + 1])
+        right = range(bounds[pos + 1], bounds[pos + 2])
         if gate is not None and not gate(
-            left, right, lambda k: _upcoming(links, pos, starts, ends, k)
+            left, right, lambda k: _upcoming(links, pos, bounds, k)
         ):
             links[pos] = np.inf
             continue
         merges.append(
             Merge(ids[pos], ids[pos + 1], float(links[pos]), len(left) + len(right))
         )
-        ends[pos] = ends[pos + 1]
         ids[pos] = n + len(merges) - 1
-        intervals[ids[pos]] = (starts[pos], ends[pos])
-        del starts[pos + 1], ends[pos + 1], ids[pos + 1]
+        intervals[ids[pos]] = (left.start, right.stop - 1)
+        del bounds[pos + 1], ids[pos + 1]
         links = np.delete(links, pos)
         for k in (pos - 1, pos):  # the two links the merge changed
             if 0 <= k < len(links) and links[k] != np.inf:
-                a, b = slice(starts[k], ends[k] + 1), slice(starts[k + 1], ends[k + 1] + 1)
+                a, b = slice(*bounds[k : k + 2]), slice(*bounds[k + 1 : k + 3])
                 links[k] = block(a, b).max()
-    return merges, intervals, list(zip(starts, ends))
+    return merges, intervals, bounds
 
 
 def cluster(points, ids: list[int] | None = None, dist=None) -> Dendrogram:
@@ -219,9 +217,14 @@ def cluster(points, ids: list[int] | None = None, dist=None) -> Dendrogram:
         raise DimensionMismatch("need at least 2 points to cluster")
     if ids is not None and len(ids) != n:
         raise DimensionMismatch("ids length does not match points")
-    # the ungated dendrogram reads every pair, so it squares the distances
-    square = squareform(pdist(pts) if dist is None else _condensed(dist, n))
-    merges, intervals, _ = _agglomerate(lambda a, b: square[a, b], n)
+    dist = pdist(pts) if dist is None else _condensed(dist, n)
+    # d(i, j > i) is dist[base[i] + j], and the loop reads only blocks with
+    # every row of a before every row of b
+    rows = np.arange(n)
+    base = rows * (2 * n - rows - 1) // 2 - rows - 1
+    merges, intervals, _ = _agglomerate(
+        lambda a, b: dist[base[a, None] + np.arange(b.start, b.stop)], n
+    )
     return Dendrogram(
         leaves=list(ids) if ids is not None else list(range(n)),
         merges=merges,
@@ -234,19 +237,15 @@ def cut(dendro: Dendrogram, k: int) -> list[list[int]]:
 
     Undoes the k-1 highest merges (the last k-1, since heights are
     monotone) and returns the member ids of each surviving cluster in
-    sequence order.
+    sequence order: the sequence is cut at every boundary the first n-k
+    merges did not join.
     """
     n = dendro.n_leaves
     if not 1 <= k <= n:
         raise InvalidK(f"k={k} outside 1..{n}")
-    active = {i: (i, i) for i in range(n)}
-    for step, m in enumerate(dendro.merges[: n - k]):
-        lo = min(active[m.left][0], active[m.right][0])
-        hi = max(active[m.left][1], active[m.right][1])
-        del active[m.left], active[m.right]
-        active[n + step] = (lo, hi)
-    segments = sorted(active.values())
-    return [[dendro.leaves[i] for i in range(lo, hi + 1)] for lo, hi in segments]
+    joined = {dendro.intervals[m.right][0] for m in dendro.merges[: n - k]}
+    edges = [i for i in range(n + 1) if i not in joined]
+    return [dendro.leaves[a:b] for a, b in zip(edges, edges[1:])]
 
 
 def to_newick(dendro: Dendrogram) -> str:

@@ -11,7 +11,7 @@ the empirical percentile of the impact distance within that distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -140,20 +140,7 @@ class ImpactReport:
                 "stdev_pairwise_distance": self.stdev_pairwise,
                 "n_pairs": self.n_pairs,
             },
-            "campaigns": [
-                {
-                    "campaign": c.campaign,
-                    "distance_full": c.distance_full,
-                    "distance_plane": c.distance_plane,
-                    "z_score": c.z_score,
-                    "two_sided_tail_percent": c.two_sided_tail_percent,
-                    "one_sided_tail_percent": c.one_sided_tail_percent,
-                    "percent_pairs_below": c.percent_pairs_below,
-                    "initiating_seq_nos": list(c.initiating_seq_nos),
-                    "n_member_docs": c.n_member_docs,
-                }
-                for c in self.campaigns
-            ],
+            "campaigns": [asdict(c) for c in self.campaigns],
             "skipped_campaigns": [
                 {"campaign": c, "reason": r} for c, r in self.skipped
             ],

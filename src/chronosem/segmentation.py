@@ -78,10 +78,6 @@ class SegmentationResult:
     def n_segments(self) -> int:
         return len(self.segments)
 
-    @property
-    def singleton_segments(self) -> list[int]:
-        return [seg[0] for seg in self.segments if len(seg) == 1]
-
 
 # no meaningful split of fewer than 3 objects: fuse, flagged
 _DEGENERATE = PermTestResult(h=0, p=1.0, decision=FUSE, degenerate=True)
@@ -234,9 +230,9 @@ def segment(
         return res.decision == FUSE
 
     with solver(lambda key: _gate(block, config, key)) as solve:
-        _, _, spans = _agglomerate(block, n, gate)
+        _, _, bounds = _agglomerate(block, n, gate)
     return SegmentationResult(
-        segments=[ids[start : end + 1] for start, end in spans],
+        segments=[ids[a:b] for a, b in zip(bounds, bounds[1:])],
         blocked=[t for t in tests if t.decision == BLOCK],
         tests=tests,
         config=config,

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,28 @@ class TestCluster:
         dendro = cluster(pts)
         assert dendro.intervals[dendro.merges[0].left] == (0, 0)
         assert dendro.intervals[dendro.merges[0].right] == (1, 1)
+
+    def test_reads_condensed_distances_as_the_square(self):
+        pts = np.random.default_rng(7).standard_normal((150, 4))
+        square = squareform(pdist(pts))
+        merges, intervals, bounds = cluster_module._agglomerate(
+            lambda a, b: square[a, b], len(pts)
+        )
+        dendro = cluster(pts, dist=cluster_module.pdist(pts))
+        assert dendro.merges == merges
+        assert dendro.intervals == intervals
+        assert bounds == [0, len(pts)]
+
+    def test_builds_no_square_matrix(self):
+        pts = np.random.default_rng(8).standard_normal((1200, 5))
+        dist = cluster_module.pdist(pts)
+        tracemalloc.start()
+        try:
+            cluster(pts, dist=dist)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(pts) ** 2 * 8  # one n-by-n float64 array
 
     def test_rejects_bad_input(self):
         with pytest.raises(DimensionMismatch):

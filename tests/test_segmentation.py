@@ -285,7 +285,7 @@ class TestGatePool:
         cluster_module = sys.modules["chronosem.cluster"]
         n = len(pts)
 
-        def wrong(heights, pos, starts, ends, k):
+        def wrong(heights, pos, bounds, k):
             # valid unions of 3..5 points that the loop never proposes next
             return [(i, i + 1, i + 3 + i % 3) for i in range(n - 8, n - 8 - k, -1)]
 
@@ -455,7 +455,7 @@ class TestSegmentCentroids:
         assert int(fmap.supplementary.sum()) == 4
         assert fmap.model.row_coords.shape[0] == 36
         assert np.all(np.isfinite(fmap.coords[fmap.supplementary]))
-        assert res.singleton_segments == [segments[k][0] for k in (5, 17, 35, 38)]
+        assert np.flatnonzero(fmap.supplementary).tolist() == [5, 17, 35, 38]
 
     def test_single_segment_centroid_is_origin(self):
         rng = np.random.default_rng(4)
