@@ -3,12 +3,22 @@ scoring for chronological text corpora."""
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# A threaded BLAS gives the SVD's near-tied trailing factors another basis,
+# so a rerun would write other bytes on another core count.  BLAS reads
+# these when numpy is first imported: a caller that imported numpy first
+# keeps its own setting.
+if "numpy" not in sys.modules:
+    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_name] = "1"
+
 from .ca import (
     CAModel,
     ProbabilityTable,
     chi2_distance,
     col_contributions,
-    col_correlations,
     decompose,
     fit_ca,
     normalize,
@@ -28,7 +38,6 @@ from .corpus import (
     load_corpus,
     load_stopwords,
     merge_adjacent_initiating,
-    merge_initiating,
     threshold_matrix,
     tokenize,
 )
@@ -60,7 +69,6 @@ __all__ = [
     "ProbabilityTable",
     "chi2_distance",
     "col_contributions",
-    "col_correlations",
     "decompose",
     "fit_ca",
     "normalize",
@@ -81,7 +89,6 @@ __all__ = [
     "load_corpus",
     "load_stopwords",
     "merge_adjacent_initiating",
-    "merge_initiating",
     "threshold_matrix",
     "tokenize",
     "CampaignImpact",

@@ -232,10 +232,6 @@ def row_correlations(model: CAModel) -> np.ndarray:
     return _cos2(model.row_coords)
 
 
-def col_correlations(model: CAModel) -> np.ndarray:
-    return _cos2(model.col_coords)
-
-
 def project_supplementary_row(model: CAModel, profile) -> np.ndarray:
     """Project a zero-mass row into the fitted factor space.
 

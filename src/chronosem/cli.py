@@ -3,7 +3,8 @@
 Each subcommand reads the corpus named in the config, runs the chain up to
 its stage in memory, and writes that stage's artifacts plus a manifest with
 the config, seed, library versions and a content hash per file.  All
-randomness flows from the single --seed flag, so reruns are byte-identical.
+randomness flows from the single --seed flag and BLAS runs on one thread,
+so reruns are byte-identical at any thread count.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error,
 5 unexpected error.
@@ -15,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import platform
 import sys
@@ -246,8 +248,7 @@ class _Pipeline:
     # -- stages ----------------------------------------------------------
     def stage_ingest(self):
         tdm, vocab = self.tdm, self.vocab
-        rows = [("row", "col", "value")]
-        rows += list(corpus.matrix_to_coo_rows(tdm))
+        rows = itertools.chain([("row", "col", "value")], corpus.matrix_to_coo_rows(tdm))
         self.artifacts.append(_write_csv(self.out / "matrix.csv", rows))
         self.artifacts.append(
             _write_json(self.out / "matrix_roles.json", corpus.matrix_roles_dict(tdm))

@@ -22,12 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    AllDocumentsEmpty,
-    CorpusFormatError,
-    MixedCampaign,
-    NonAdjacent,
-)
+from .errors import AllDocumentsEmpty, CorpusFormatError
 
 # Function-word and rump-token list used when no stopword file is supplied.
 # Deliberately small: function words are kept unless they are pure noise,
@@ -232,17 +227,16 @@ def threshold_matrix(
         [d.campaign if d.campaign is not None else -1 for d in kept_docs],
         dtype=np.int64,
     )
-    campaign_ids = sorted({int(c) for c in campaigns if c >= 0})
-    if campaign_ids:
-        cat_rows = [i for i, c in enumerate(campaigns) if c >= 0]
-        cat_cols = [campaign_ids.index(int(campaigns[i])) for i in cat_rows]
-        cat_block = sp.csr_matrix(
-            (np.ones(len(cat_rows), dtype=np.int64), (cat_rows, cat_cols)),
-            shape=(len(kept_docs), len(campaign_ids)),
-        )
-        counts = sp.hstack([term_block, cat_block], format="csr")
-    else:
-        counts = term_block.tocsr()
+    labelled = np.flatnonzero(campaigns >= 0)
+    campaign_ids = np.unique(campaigns[labelled])
+    cat_block = sp.csr_matrix(
+        (
+            np.ones(len(labelled), dtype=np.int64),
+            (labelled, np.searchsorted(campaign_ids, campaigns[labelled])),
+        ),
+        shape=(len(kept_docs), len(campaign_ids)),
+    )
+    counts = sp.hstack([term_block, cat_block], format="csr")
 
     return TermDocMatrix(
         counts=counts,
@@ -250,51 +244,9 @@ def threshold_matrix(
         row_supplementary=supp,
         campaigns=campaigns,
         terms=retained,
-        campaign_ids=campaign_ids,
+        campaign_ids=campaign_ids.tolist(),
         dropped_docs=dropped,
         dropped_terms=dropped_terms,
-    )
-
-
-def merge_initiating(docs: Sequence[Document], indices: Sequence[int]) -> Document:
-    """Combine chronologically adjacent same-campaign documents into one.
-
-    The merged document keeps the first seq_no, joins the raw texts with a
-    space and is flagged initiating.  A single index returns that document
-    unchanged.
-    """
-    if not indices:
-        raise NonAdjacent("no indices to merge")
-    by_seq = {d.seq_no: d for d in docs}
-    try:
-        chosen = [by_seq[i] for i in indices]
-    except KeyError as exc:
-        raise NonAdjacent(f"seq_no {exc.args[0]} not in corpus") from None
-    if len(chosen) == 1:
-        return chosen[0]
-
-    positions = sorted(range(len(docs)), key=lambda k: docs[k].seq_no)
-    pos_of = {docs[k].seq_no: rank for rank, k in enumerate(positions)}
-    ranks = sorted(pos_of[d.seq_no] for d in chosen)
-    if ranks != list(range(ranks[0], ranks[0] + len(ranks))):
-        raise NonAdjacent(f"documents {list(indices)} are not chronologically adjacent")
-
-    campaigns = {d.campaign for d in chosen}
-    if len(campaigns) != 1 or campaigns == {None}:
-        raise MixedCampaign(
-            f"documents {list(indices)} do not share a single campaign id"
-        )
-    return _merged(sorted(chosen, key=lambda d: d.seq_no))
-
-
-def _merged(run: Sequence[Document]) -> Document:
-    """One initiating document from a chronological run of documents of one
-    campaign: the first seq_no and the texts joined with a space."""
-    return Document(
-        seq_no=run[0].seq_no,
-        raw_text=" ".join(d.raw_text for d in run),
-        is_initiating=True,
-        campaign=run[0].campaign,
     )
 
 
@@ -302,9 +254,9 @@ def merge_adjacent_initiating(docs: Sequence[Document]) -> list[Document]:
     """Collapse each run of adjacent same-campaign initiating documents.
 
     Campaigns occasionally launch with two back-to-back posts; the pair is
-    analyzed as a single initiating document, as :func:`merge_initiating`
-    builds it.  ``docs`` are in chronological order, as
-    :func:`load_corpus` returns them.
+    analyzed as a single initiating document that keeps the first seq_no
+    and joins the texts with a space.  ``docs`` are in chronological order,
+    as :func:`load_corpus` returns them.
     """
     out: list[Document] = []
     i = 0
@@ -321,7 +273,10 @@ def merge_adjacent_initiating(docs: Sequence[Document]) -> list[Document]:
             and docs[j].campaign == d.campaign
         ):
             j += 1
-        out.append(_merged(docs[i:j]) if j - i > 1 else d)
+        if j - i > 1:
+            text = " ".join(doc.raw_text for doc in docs[i:j])
+            d = Document(d.seq_no, text, True, d.campaign)
+        out.append(d)
         i = j
     return out
 
@@ -445,21 +400,21 @@ def matrix_to_coo_rows(tdm: TermDocMatrix) -> Iterable[tuple[int, int, int]]:
     """Coordinate-list triples (row, col, value) in row-major order."""
     coo = tdm.counts.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    for k in order:
-        yield int(coo.row[k]), int(coo.col[k]), int(coo.data[k])
+    return zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
 
 
 def matrix_roles_dict(tdm: TermDocMatrix) -> dict:
     """Sidecar metadata describing row/column roles for the COO export."""
-    rows = []
-    for i in range(tdm.n_rows):
-        rows.append(
-            {
-                "seq_no": int(tdm.seq_nos[i]),
-                "role": "supplementary" if tdm.row_supplementary[i] else "principal",
-                "campaign": int(tdm.campaigns[i]) if tdm.campaigns[i] >= 0 else None,
-            }
+    rows = [
+        {
+            "seq_no": seq_no,
+            "role": "supplementary" if supp else "principal",
+            "campaign": campaign if campaign >= 0 else None,
+        }
+        for seq_no, supp, campaign in zip(
+            tdm.seq_nos.tolist(), tdm.row_supplementary.tolist(), tdm.campaigns.tolist()
         )
+    ]
     cols = [{"name": t, "role": "term"} for t in tdm.terms]
     cols += [{"name": f"campaign:{c}", "role": "campaign"} for c in tdm.campaign_ids]
     return {

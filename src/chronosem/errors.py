@@ -25,14 +25,6 @@ class AllDocumentsEmpty(ChronosemError):
     """Thresholding removed every usable (principal) document."""
 
 
-class NonAdjacent(ChronosemError):
-    """Documents to merge are not chronologically adjacent."""
-
-
-class MixedCampaign(ChronosemError):
-    """Documents to merge do not share a single campaign id."""
-
-
 class ZeroMarginError(ChronosemError):
     """A row or column of the count table has zero total."""
 

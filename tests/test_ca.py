@@ -146,6 +146,14 @@ class TestDecompose:
         assert np.abs(f) == pytest.approx([1.0, 1.0], abs=1e-12)
         assert f[0] * f[1] < 0  # opposite signs
 
+    def test_dominant_row_coordinate_is_positive(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            coords = decompose(normalize(random_count_table(rng))).row_coords
+            assert coords.shape[1] > 0
+            dominant = coords[np.argmax(np.abs(coords), axis=0), np.arange(coords.shape[1])]
+            assert (dominant > 0).all()
+
     def test_eigenvalues_match_bruteforce(self):
         rng = np.random.default_rng(4)
         for _ in range(30):

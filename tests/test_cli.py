@@ -133,6 +133,35 @@ class TestRunAll:
         assert members == sorted(members)
 
 
+class TestBlasThreads:
+    """The package runs BLAS on one thread, so a rerun writes the same
+    bytes whatever thread count the environment asks for."""
+
+    @pytest.mark.parametrize("sub", ["ca", "all"])
+    def test_same_bytes_at_any_thread_count(self, tmp_path, sub):
+        # a threaded SVD picks another basis for this corpus's near-tied
+        # trailing factors (196 rows, 74 factors)
+        corpus = write_corpus_csv(scale_corpus_rows(n_blocks=4, seed=101), tmp_path / "c.csv")
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["PYTHONPATH"] = src
+        got = {}
+        for threads in ("1", "2", None):
+            out = tmp_path / f"threads-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "chronosem.cli", sub, "--input", corpus,
+                 "--out", out, "--seed", "101", "--permutations", "200"],
+                env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads},
+                check=True, timeout=120,
+            )
+            got[threads] = artifact_bytes(out)
+        for threads in ("2", None):
+            assert got[threads].keys() == got["1"].keys()
+            differ = [name for name in got["1"] if got[threads][name] != got["1"][name]]
+            assert differ == [], f"OPENBLAS_NUM_THREADS={threads}"
+
+
 class TestSharedDistances:
     @pytest.mark.parametrize(
         "subcommand, dims, builds",

@@ -19,18 +19,12 @@ from chronosem import (
     load_corpus,
     load_stopwords,
     merge_adjacent_initiating,
-    merge_initiating,
     threshold_matrix,
     tokenize,
 )
 from chronosem import corpus
 from chronosem.corpus import matrix_roles_dict, matrix_to_coo_rows
-from chronosem.errors import (
-    AllDocumentsEmpty,
-    CorpusFormatError,
-    MixedCampaign,
-    NonAdjacent,
-)
+from chronosem.errors import AllDocumentsEmpty, CorpusFormatError
 from helpers import docs_from_rows, synthetic_corpus_rows
 from oracles import threshold_filter_bruteforce
 
@@ -131,6 +125,13 @@ class TestThreshold:
         assert set(tdm.terms) == {"alpha", "bravo", "charlie", "delta"}
         assert tdm.dropped_docs == []
         assert tdm.n_rows == 5
+
+    def test_term_at_both_minimums_kept(self):
+        # "bravo": freq 3 in 3 docs; "charlie": freq 2 in 2 docs
+        docs = self._docs()
+        vocab = build_vocabulary(docs, NO_STOPWORDS)
+        assert set(threshold_matrix(docs, vocab, 3, 3).terms) == {"alpha", "bravo"}
+        assert set(threshold_matrix(docs, vocab, 2, 2).terms) == {"alpha", "bravo", "charlie"}
 
     def test_term_dropped_by_doc_count(self):
         # "delta": freq 2 but only 1 doc -> dropped at (2, 3)
@@ -255,24 +256,6 @@ class TestMergeInitiating:
             Document(410, "water splash", True, 5),
         ]
 
-    def test_merge_adjacent_pair(self):
-        merged = merge_initiating(self._docs(), [303, 304])
-        assert merged.seq_no == 303
-        assert merged.raw_text == "gas week one gas week two"
-        assert merged.is_initiating and merged.campaign == 4
-
-    def test_single_index_unchanged(self):
-        docs = self._docs()
-        assert merge_initiating(docs, [303]) == docs[1]
-
-    def test_mixed_campaign(self):
-        with pytest.raises(MixedCampaign):
-            merge_initiating(self._docs(), [304, 410])
-
-    def test_non_adjacent(self):
-        with pytest.raises(NonAdjacent):
-            merge_initiating(self._docs(), [302, 304])
-
     def test_auto_merge_rewrites_runs(self):
         out = merge_adjacent_initiating(self._docs())
         assert [d.seq_no for d in out] == [302, 303, 410]
@@ -291,7 +274,11 @@ class TestMergeInitiating:
             docs, key=lambda d: (d.is_initiating, d.campaign if d.is_initiating else d.seq_no)
         ):
             run = list(run)
-            expected.append(merge_initiating(docs, [d.seq_no for d in run]) if init else run[0])
+            # a run of initiators pools into one: first seq_no, texts joined
+            if init and len(run) > 1:
+                texts = [d.raw_text for d in run]
+                run[0] = Document(run[0].seq_no, " ".join(texts), True, run[0].campaign)
+            expected.append(run[0])
         assert merge_adjacent_initiating(docs) == expected
 
 

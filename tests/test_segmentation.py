@@ -82,6 +82,14 @@ class TestPermTest:
         assert res.p > 0.0  # identity relabelling is part of the set
         assert res.decision == "fuse"
 
+    def test_blocks_when_p_equals_alpha(self):
+        # fuse iff p > alpha: a p exactly at alpha blocks
+        a, b = far_groups(3, 3)
+        p = perm_test(a, b, PermTestConfig(alpha=0.0, n_permutations=20, rng_seed=7)).p
+        res = perm_test(a, b, PermTestConfig(alpha=p, n_permutations=20, rng_seed=7))
+        assert 0.0 < res.p == p < 1.0
+        assert res.decision == "block"
+
     def test_degenerate_union_auto_fuses(self):
         res = perm_test([[0.0]], [[99.0]], PermTestConfig(rng_seed=0))
         assert res.degenerate and res.decision == "fuse" and res.p == 1.0
