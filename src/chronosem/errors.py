@@ -41,10 +41,6 @@ class DimensionMismatch(ChronosemError):
     """Coordinate arrays do not share one finite dimensionality."""
 
 
-class InvalidK(ChronosemError):
-    """Requested partition size is outside 1..n."""
-
-
 class ConvergenceError(ChronosemError):
     """The underlying decomposition routine failed to converge."""
 

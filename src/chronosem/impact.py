@@ -99,19 +99,6 @@ def campaign_centroid(
     return ca.project_supplementary_row(model, agg)
 
 
-def impact_distance(
-    initiating_coords: np.ndarray, centroid_coords: np.ndarray, dims: str = "full"
-) -> float:
-    """Euclidean distance over the full factor space or the leading plane."""
-    a = np.asarray(initiating_coords, dtype=float)
-    b = np.asarray(centroid_coords, dtype=float)
-    if dims == "plane":
-        a, b = a[:2], b[:2]
-    elif dims != "full":
-        raise ValueError(f"dims must be 'plane' or 'full', got {dims!r}")
-    return float(np.linalg.norm(a - b))
-
-
 @dataclass(frozen=True)
 class CampaignImpact:
     campaign: int
@@ -182,8 +169,9 @@ def build_impact_report(
         centroid = campaign_centroid(
             model, principal_counts, principal_campaigns, campaign
         )
-        d_full = impact_distance(proj, centroid, "full")
-        d_plane = impact_distance(proj, centroid, "plane")
+        diff = proj - centroid
+        d_full = float(np.linalg.norm(diff))
+        d_plane = float(np.linalg.norm(diff[:2]))
         z, two_sided = significance(d_full, stats.mean, stats.stdev)
         records.append(
             CampaignImpact(
@@ -237,9 +225,9 @@ def drilldown(
     campaign.  Reports the documents contributing most to the leading
     plane's inertia and the terms with the largest planar coordinates.
     """
-    rows = np.flatnonzero(tdm.campaigns == campaign)
-    if len(rows) == 0:
+    if campaign not in tdm.campaign_ids:  # -1 marks unlabelled documents
         raise EmptyCampaign(f"campaign {campaign} has no documents")
+    rows = np.flatnonzero(tdm.campaigns == campaign)
     dense = np.asarray(tdm.counts[rows][:, : tdm.n_terms].todense(), dtype=float)
     keep = np.flatnonzero(dense.sum(axis=0) > 0)
     dense = dense[:, keep]

@@ -7,14 +7,11 @@ from hypothesis.extra import numpy as hnp
 from chronosem import (
     build_vocabulary,
     chi2_distance,
-    col_contributions,
     decompose,
     fit_ca,
     normalize,
-    project_supplementary_col,
     project_supplementary_row,
     row_contributions,
-    row_correlations,
     threshold_matrix,
     total_inertia,
 )
@@ -230,7 +227,7 @@ class TestContributions:
             _, model = fit_ca(random_count_table(rng))
             ctr = row_contributions(model)
             assert np.allclose(ctr.sum(axis=0), model.eigenvalues, atol=1e-9)
-            cc = col_contributions(model)
+            cc = model_export_dict(model)["cols"]["contributions"]
             assert np.allclose(cc.sum(axis=0), model.eigenvalues, atol=1e-9)
 
     def test_dominant_row_tops_factor_one(self):
@@ -258,13 +255,13 @@ class TestContributions:
 class TestCorrelations:
     def test_single_factor_full_correlation(self):
         model = decompose(normalize(DIAG))
-        assert np.allclose(row_correlations(model), 1.0)
+        assert np.allclose(model_export_dict(model)["rows"]["cos2"], 1.0)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             _, model = fit_ca(random_count_table(rng))
-            sums = row_correlations(model).sum(axis=1)
+            sums = model_export_dict(model)["rows"]["cos2"].sum(axis=1)
             assert np.allclose(sums, 1.0, atol=1e-9)
 
     def test_axis_aligned_point(self):
@@ -273,7 +270,7 @@ class TestCorrelations:
         counts = np.array([[6, 1, 1], [1, 5, 1], [1, 1, 5], [2, 3, 3]])
         _, model = fit_ca(counts)
         assert model.n_factors == 2
-        cos2 = row_correlations(model)
+        cos2 = model_export_dict(model)["rows"]["cos2"]
         for i in (0, 3):
             assert sorted(cos2[i]) == pytest.approx([0.0, 1.0], abs=1e-9)
 
@@ -302,13 +299,6 @@ class TestSupplementary:
             proj = project_supplementary_row(model, table.f[i])
             assert np.allclose(proj, model.row_coords[i], atol=1e-9)
 
-    def test_principal_col_round_trip(self):
-        rng = np.random.default_rng(13)
-        table, model = fit_ca(random_count_table(rng))
-        for j in range(table.shape[1]):
-            proj = project_supplementary_col(model, table.f[:, j])
-            assert np.allclose(proj, model.col_coords[j], atol=1e-9)
-
     def test_campaign_indicator_is_weighted_member_mean(self):
         rows = synthetic_corpus_rows()
         docs = docs_from_rows(rows)
@@ -331,7 +321,6 @@ class TestSupplementary:
             model.col_coords.copy(),
         )
         project_supplementary_row(model, table.f[0])
-        project_supplementary_col(model, table.f[:, 0])
         assert np.array_equal(before[0], model.eigenvalues)
         assert np.array_equal(before[1], model.row_coords)
         assert np.array_equal(before[2], model.col_coords)

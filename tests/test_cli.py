@@ -344,6 +344,20 @@ class TestErrors:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    def test_drilldown_of_unlabelled_documents_exit_3(self, tmp_path, capsys):
+        # -1 marks "no campaign"; the unlabelled documents are not a campaign
+        rows = [
+            (s, text, init, None if c == 1 and not init else c)
+            for s, text, init, c in scale_corpus_rows(n_blocks=4, seed=101)
+        ]
+        corpus = write_corpus_csv(rows, tmp_path / "unlabelled.csv")
+        out = tmp_path / "x"
+        assert cli("drilldown", "--input", corpus, "--out", out, "--campaign", -1) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "EmptyCampaign"
+        assert not (out / "drilldown.json").exists()
+
     def test_data_error_exit_3(self, tmp_path, capsys):
         corpus = write_corpus_csv(
             [(1, "one off words", 0, 1), (2, "more rare terms", 0, 1)],

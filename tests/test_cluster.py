@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from chronosem import _workers, cluster, cut, to_newick
+from chronosem import _workers, cluster, to_newick
 from chronosem.cluster import dendrogram_csv_rows, dendrogram_json_dict
-from chronosem.errors import DimensionMismatch, InvalidK
+from chronosem.errors import DimensionMismatch
 from oracles import constrained_complete_link_bruteforce
 
 cluster_module = importlib.import_module("chronosem.cluster")
@@ -106,36 +106,6 @@ class TestCluster:
             cluster(np.array([[np.nan], [1.0]]))
         with pytest.raises(DimensionMismatch):
             cluster(np.ones((1, 2)))
-
-
-class TestCut:
-    def test_k1_single_segment(self):
-        dendro = cluster(LINE)
-        assert cut(dendro, 1) == [[0, 1, 2]]
-
-    def test_kn_singletons(self):
-        dendro = cluster(LINE)
-        assert cut(dendro, 3) == [[0], [1], [2]]
-
-    def test_line_k2(self):
-        dendro = cluster(LINE)
-        assert cut(dendro, 2) == [[0, 1], [2]]
-
-    def test_segments_cover_sequence(self):
-        rng = np.random.default_rng(24)
-        pts = rng.standard_normal((9, 2))
-        ids = list(range(100, 109))
-        dendro = cluster(pts, ids=ids)
-        for k in range(1, 10):
-            segs = cut(dendro, k)
-            assert len(segs) == k
-            assert [i for seg in segs for i in seg] == ids
-
-    def test_invalid_k(self):
-        dendro = cluster(LINE)
-        for k in (0, 4, -1):
-            with pytest.raises(InvalidK):
-                cut(dendro, k)
 
 
 class TestExports:

@@ -152,7 +152,10 @@ class TestThreshold:
 
     def test_retained_set_matches_bruteforce(self):
         rng = np.random.default_rng(11)
-        words = [f"w{i}" for i in range(12)]
+        # words the tokenizer keeps whole: alphabetic, two letters or more
+        words = ["amber", "birch", "cedar", "delta", "ember", "fjord",
+                 "grove", "heron", "iris", "jade", "kelp", "lotus"]
+        compared = 0
         for _ in range(25):
             docs = [
                 Document(i + 1, " ".join(rng.choice(words, size=rng.integers(1, 7))))
@@ -164,12 +167,15 @@ class TestThreshold:
                 expected = threshold_filter_bruteforce(token_lists, *thresholds)
                 try:
                     tdm = threshold_matrix(docs, vocab, *thresholds)
-                    assert set(tdm.terms) == expected
                 except AllDocumentsEmpty:
                     # brute-force filter must then empty every document too
                     assert all(
                         not (set(toks) & expected) for toks in token_lists
                     )
+                    continue
+                assert set(tdm.terms) == expected
+                compared += 1
+        assert compared > 50  # most of the 100 cases reach the comparison
 
     def test_order_independent_term_set(self):
         rows = synthetic_corpus_rows(docs_per_campaign=8)

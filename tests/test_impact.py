@@ -8,7 +8,6 @@ from chronosem import (
     cluster,
     drilldown,
     fit_ca,
-    impact_distance,
     pairwise_distance_stats,
     significance,
     threshold_matrix,
@@ -188,25 +187,12 @@ class TestCampaignCentroid:
 
 
 class TestImpactDistance:
-    def test_zero_when_profiles_match(self):
-        coords = np.array([0.3, -0.2, 0.1])
-        assert impact_distance(coords, coords.copy()) == 0.0
-
     def test_plane_never_exceeds_full(self):
         tdm, model = fitted_corpus()
         report = build_impact_report(tdm, model)
         assert report.campaigns, "expected campaign records"
         for c in report.campaigns:
             assert c.distance_plane <= c.distance_full + 1e-12
-
-    def test_full_distance_rotation_invariant(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal(6)
-        b = rng.standard_normal(6)
-        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        assert impact_distance(a @ q, b @ q) == pytest.approx(
-            impact_distance(a, b), abs=1e-10
-        )
 
 
 class TestImpactReport:
@@ -292,3 +278,14 @@ class TestDrilldown:
         tdm, _ = fitted_corpus()
         with pytest.raises(EmptyCampaign):
             drilldown(tdm, 12345)
+
+    def test_unlabelled_documents_are_no_campaign(self):
+        rows = [
+            (s, text, init, None if c == 1 and not init else c)
+            for s, text, init, c in synthetic_corpus_rows()
+        ]
+        docs = docs_from_rows(rows)
+        tdm = threshold_matrix(docs, build_vocabulary(docs), 5, 5)
+        assert (tdm.campaigns == -1).any()
+        with pytest.raises(EmptyCampaign):
+            drilldown(tdm, -1)
