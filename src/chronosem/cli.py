@@ -87,25 +87,6 @@ def _validate(config: PipelineConfig, subcommand: str):
         raise ConfigError("drilldown requires --campaign")
 
 
-def _write_json(path: Path, obj) -> Path:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _write_csv(path: Path, rows) -> Path:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in rows:
-            writer.writerow(row)
-    return path
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 _HASH_BLOCK = 1 << 20
 
 
@@ -200,8 +181,29 @@ class _Pipeline:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.out = Path(config.out)
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise ConfigError(f"output is not a directory: {config.out}") from exc
         self.artifacts: list[Path] = []
+
+    # -- artifacts -------------------------------------------------------
+    def _open(self, name: str):
+        """Open ``name`` in the output directory for writing, as UTF-8 with
+        ``\\n`` line ends on every platform, and record it as an artifact."""
+        self.artifacts.append(self.out / name)
+        return open(self.artifacts[-1], "w", newline="", encoding="utf-8")
+
+    def _json(self, name: str, obj) -> None:
+        with self._open(name) as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    def _csv(self, name: str, rows) -> None:
+        """Write ``rows`` as CSV lines; a float cell must be a Python float,
+        which ``csv`` renders as its ``repr``."""
+        with self._open(name) as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
 
     # -- stage data ------------------------------------------------------
     @cached_property
@@ -249,45 +251,33 @@ class _Pipeline:
     def stage_ingest(self):
         tdm, vocab = self.tdm, self.vocab
         rows = itertools.chain([("row", "col", "value")], corpus.matrix_to_coo_rows(tdm))
-        self.artifacts.append(_write_csv(self.out / "matrix.csv", rows))
-        self.artifacts.append(
-            _write_json(self.out / "matrix_roles.json", corpus.matrix_roles_dict(tdm))
-        )
+        self._csv("matrix.csv", rows)
+        self._json("matrix_roles.json", corpus.matrix_roles_dict(tdm))
         retained = set(tdm.terms)
-        vocab_rows = [("term", "global_freq", "doc_count", "retained")]
-        for t in vocab.terms:
-            vocab_rows.append(
-                (t, vocab.global_freq[t], vocab.doc_count[t], int(t in retained))
-            )
-        self.artifacts.append(_write_csv(self.out / "vocab.csv", vocab_rows))
+        rows = [(t, vocab.global_freq[t], vocab.doc_count[t], int(t in retained))
+                for t in vocab.terms]
+        self._csv("vocab.csv", [("term", "global_freq", "doc_count", "retained"), *rows])
 
     def stage_ca(self):
         model = self.model
         export = ca.model_export_dict(model, row_ids=self.seq, col_ids=self.tdm.terms)
         header = ",".join(["id"] + [f"f{s + 1}" for s in range(model.n_factors)]) + "\n"
-        paths = {c: self.out / f"model_{c}.csv" for c in ("rows", "cols")}
         with ExitStack() as stack:
+            fh = stack.enter_context(self._open("model.json"))
             csvs = {}
-            for c, path in paths.items():
-                out = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
+            for c in ("rows", "cols"):
+                out = stack.enter_context(self._open(f"model_{c}.csv"))
                 out.write(header)
                 csvs[(c, "coords")] = (out, export[c]["ids"])
-            fh = stack.enter_context(open(self.out / "model.json", "w", encoding="utf-8"))
             _dump_leaves(fh, export, csvs)
             fh.write("\n")
-        self.artifacts += [self.out / "model.json", *paths.values()]
 
     def stage_cluster(self):
         dendro = build_dendrogram(self.coords, ids=self.seq, dist=self.dist)
-        self.artifacts.append(
-            _write_json(self.out / "dendrogram.json", dendrogram_json_dict(dendro))
-        )
-        with open(self.out / "dendrogram.newick", "w", encoding="utf-8") as fh:
+        self._json("dendrogram.json", dendrogram_json_dict(dendro))
+        with self._open("dendrogram.newick") as fh:
             fh.write(to_newick(dendro) + "\n")
-        self.artifacts.append(self.out / "dendrogram.newick")
-        self.artifacts.append(
-            _write_csv(self.out / "dendrogram.csv", dendrogram_csv_rows(dendro))
-        )
+        self._csv("dendrogram.csv", dendrogram_csv_rows(dendro))
 
     def stage_segment(self):
         config = segmentation.PermTestConfig(
@@ -299,19 +289,19 @@ class _Pipeline:
         fmap = segmentation.segment_centroids_as_supplementary(
             result, self.tdm.principal_counts()
         )
+        segments = []
+        rows = [("segment_id", "start_seq", "end_seq", "n_docs", "singleton", "role", "f1", "f2")]
+        for k, seg in enumerate(result.segments):
+            single = len(seg) == 1
+            segments.append({"id": k + 1, "start_seq": seg[0], "end_seq": seg[-1],
+                             "members": seg, "singleton": single})
+            f1, f2 = (fmap.coords[k].tolist() + [0.0, 0.0])[:2]
+            role = "supplementary" if fmap.supplementary[k] else "principal"
+            rows.append((k + 1, seg[0], seg[-1], len(seg), int(single), role, f1, f2))
         payload = {
             "config": {**dataclasses.asdict(config), "dims": self.config.dims},
             "n_segments": result.n_segments,
-            "segments": [
-                {
-                    "id": k + 1,
-                    "start_seq": seg[0],
-                    "end_seq": seg[-1],
-                    "members": seg,
-                    "singleton": len(seg) == 1,
-                }
-                for k, seg in enumerate(result.segments)
-            ],
+            "segments": segments,
             "blocked": [
                 {
                     "boundary_after_seq": b.boundary_after,
@@ -321,23 +311,8 @@ class _Pipeline:
                 for b in result.blocked
             ],
         }
-        self.artifacts.append(_write_json(self.out / "segments.json", payload))
-        rows = [
-            (
-                "segment_id", "start_seq", "end_seq", "n_docs",
-                "singleton", "role", "f1", "f2",
-            )
-        ]
-        for k, seg in enumerate(result.segments):
-            f1, f2 = (list(fmap.coords[k]) + [0.0, 0.0])[:2]
-            rows.append(
-                (
-                    k + 1, seg[0], seg[-1], len(seg), int(len(seg) == 1),
-                    "supplementary" if fmap.supplementary[k] else "principal",
-                    _fmt(f1), _fmt(f2),
-                )
-            )
-        self.artifacts.append(_write_csv(self.out / "segments.csv", rows))
+        self._json("segments.json", payload)
+        self._csv("segments.csv", rows)
 
     def stage_impact(self):
         # impact is the chain's last user of the cached distances, so
@@ -347,25 +322,13 @@ class _Pipeline:
         if self.config.dims != "full":
             dist = None
         report = impact.build_impact_report(self.tdm, self.model, dist)
-        self.artifacts.append(_write_json(self.out / "impact.json", report.to_dict()))
-        rows = [
-            (
-                "campaign", "distance_plane", "distance_full", "z_score",
-                "two_sided_tail_percent", "percent_pairs_below",
-            )
-        ]
-        for c in report.campaigns:
-            rows.append(
-                (
-                    c.campaign, _fmt(c.distance_plane), _fmt(c.distance_full),
-                    _fmt(c.z_score), _fmt(c.two_sided_tail_percent),
-                    _fmt(c.percent_pairs_below),
-                )
-            )
-        self.artifacts.append(_write_csv(self.out / "impact.csv", rows))
-        self.artifacts.append(
-            _write_csv(self.out / "impact_curve.csv", [r[:3] for r in rows])
-        )
+        self._json("impact.json", report.to_dict())
+        rows = [("campaign", "distance_plane", "distance_full", "z_score",
+                 "two_sided_tail_percent", "percent_pairs_below")]
+        rows += [(c.campaign, c.distance_plane, c.distance_full, c.z_score,
+                  c.two_sided_tail_percent, c.percent_pairs_below) for c in report.campaigns]
+        self._csv("impact.csv", rows)
+        self._csv("impact_curve.csv", [r[:3] for r in rows])
 
     def stage_drilldown(self):
         result = impact.drilldown(
@@ -383,21 +346,17 @@ class _Pipeline:
             "top_tweets": result.top_tweets,
             "top_terms": result.top_terms,
         }
-        self.artifacts.append(_write_json(self.out / "drilldown.json", payload))
+        self._json("drilldown.json", payload)
         for name, top, key, score in (
             ("drilldown_tweets.csv", result.top_tweets, "seq_no", "plane_contribution_percent"),
             ("drilldown_terms.csv", result.top_terms, "term", "plane_magnitude"),
         ):
-            rows = [(key, score, "f1", "f2")]
-            for t in top:
-                f1, f2 = (t["coords"] + [0.0, 0.0])[:2]
-                rows.append((t[key], _fmt(t[score]), _fmt(f1), _fmt(f2)))
-            self.artifacts.append(_write_csv(self.out / name, rows))
+            rows = [(t[key], t[score], *(t["coords"] + [0.0, 0.0])[:2]) for t in top]
+            self._csv(name, [(key, score, "f1", "f2"), *rows])
 
-    def write_manifest(self, subcommand: str) -> Path:
-        entries = []
-        for path in sorted(self.artifacts):
-            entries.append({"path": path.name, "sha256": _sha256(path)})
+    def write_manifest(self, subcommand: str) -> None:
+        """Hash every artifact so far into ``manifest.json``, the last one."""
+        entries = [{"path": p.name, "sha256": _sha256(p)} for p in sorted(self.artifacts)]
         manifest = {
             "subcommand": subcommand,
             "config": dataclasses.asdict(self.config),
@@ -410,7 +369,7 @@ class _Pipeline:
             },
             "artifacts": entries,
         }
-        return _write_json(self.out / "manifest.json", manifest)
+        self._json("manifest.json", manifest)
 
 
 def run(subcommand: str, config: PipelineConfig) -> list[Path]:
@@ -421,8 +380,8 @@ def run(subcommand: str, config: PipelineConfig) -> list[Path]:
     pipe = _Pipeline(config)
     for stage in CHAIN if subcommand == "all" else (subcommand,):
         getattr(pipe, f"stage_{stage}")()
-    manifest = pipe.write_manifest(subcommand)
-    return pipe.artifacts + [manifest]
+    pipe.write_manifest(subcommand)
+    return pipe.artifacts
 
 
 def _build_parser() -> argparse.ArgumentParser:

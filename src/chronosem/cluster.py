@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._workers import _default_workers
+from . import _workers
 from .errors import DimensionMismatch
 
 
@@ -85,7 +85,7 @@ def pdist(points) -> np.ndarray:
         for i in range(a, b):
             out[run_start[i] : run_start[i + 1]] = block[i - a, i - a :]
 
-    with ThreadPoolExecutor(max_workers=_default_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=_workers._default_workers()) as pool:
         tasks = [pool.submit(fill, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         for task in tasks:
             task.result()
@@ -274,4 +274,4 @@ def dendrogram_json_dict(dendro: Dendrogram) -> dict:
 def dendrogram_csv_rows(dendro: Dendrogram):
     yield ("step", "left", "right", "height")
     for t, m in enumerate(dendro.merges):
-        yield (t, m.left, m.right, repr(m.height))
+        yield (t, m.left, m.right, m.height)

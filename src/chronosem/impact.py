@@ -11,7 +11,7 @@ the empirical percentile of the impact distance within that distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -153,7 +153,7 @@ def build_impact_report(
     for seq_no, campaign, vector in tdm.supplementary_rows():
         initiators.setdefault(campaign, []).append((seq_no, vector))
 
-    records: list[CampaignImpact] = []
+    scored = []  # (campaign, initiating seq_nos, member count, initiator - centroid)
     skipped: list[tuple[int, str]] = []
     for campaign in tdm.campaign_ids:
         if campaign not in initiators:
@@ -169,27 +169,25 @@ def build_impact_report(
         centroid = campaign_centroid(
             model, principal_counts, principal_campaigns, campaign
         )
-        diff = proj - centroid
-        d_full = float(np.linalg.norm(diff))
-        d_plane = float(np.linalg.norm(diff[:2]))
-        z, two_sided = significance(d_full, stats.mean, stats.stdev)
+        scored.append((campaign, seq_nos, int(len(members)), proj - centroid))
+    d_full = [float(np.linalg.norm(diff)) for *_, diff in scored]
+    below = stats.percents_below(d_full)  # every campaign in one pass
+    records: list[CampaignImpact] = []
+    for (campaign, seq_nos, n_members, diff), d, b in zip(scored, d_full, below):
+        z, two_sided = significance(d, stats.mean, stats.stdev)
         records.append(
             CampaignImpact(
                 campaign=campaign,
-                distance_full=d_full,
-                distance_plane=d_plane,
+                distance_full=d,
+                distance_plane=float(np.linalg.norm(diff[:2])),
                 z_score=z,
                 two_sided_tail_percent=two_sided,
                 one_sided_tail_percent=two_sided / 2.0,
-                percent_pairs_below=math.nan,  # filled below, in one pass
+                percent_pairs_below=float(b),
                 initiating_seq_nos=seq_nos,
-                n_member_docs=int(len(members)),
+                n_member_docs=n_members,
             )
         )
-    below = stats.percents_below([r.distance_full for r in records])
-    records = [
-        replace(r, percent_pairs_below=float(b)) for r, b in zip(records, below)
-    ]
     return ImpactReport(
         campaigns=records,
         mean_pairwise=stats.mean,

@@ -1,9 +1,11 @@
 import contextlib
+import csv
 import errno
 import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import select
 import signal
@@ -259,7 +261,8 @@ class TestSharedDistances:
         big = tmp_path / "big.bin"
         big.write_bytes(np.random.default_rng(0).bytes(2 * _HASH_BLOCK + 123))
         pipe.artifacts.append(big)
-        manifest = json.loads(pipe.write_manifest("ingest").read_text())
+        pipe.write_manifest("ingest")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
         digest = hashlib.sha256(big.read_bytes()).hexdigest()
         assert manifest["artifacts"] == [{"path": "big.bin", "sha256": digest}]
 
@@ -322,6 +325,63 @@ class TestSubcommands:
         assert dd["campaign"] == 2
         assert len(dd["top_tweets"]) == 4
         assert len(dd["top_terms"]) == 6
+
+
+class TestCsvFloats:
+    """A float cell of a CSV artifact is the ``repr`` of the Python float
+    that the matching JSON artifact or library result holds."""
+
+    def test_cells_are_reprs_of_the_json_values(self, tmp_path, monkeypatch):
+        maps = []
+        factor_map = segmentation.segment_centroids_as_supplementary
+
+        def kept(*args):
+            maps.append(factor_map(*args))
+            return maps[-1]
+
+        monkeypatch.setattr(segmentation, "segment_centroids_as_supplementary", kept)
+        out = tmp_path / "out"
+        assert cli("all", "--input", SYNTHETIC3, "--out", out, "--permutations", 500) == 0
+        assert cli("drilldown", "--input", SYNTHETIC3, "--out", out, "--campaign", 2) == 0
+
+        def cells(name, columns):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            return [[row[header.index(c)] for c in columns] for row in rows]
+
+        def reprs(table):
+            assert all(type(v) is float for row in table for v in row)
+            return [[repr(v) for v in row] for row in table]
+
+        def loaded(name):
+            return json.loads((out / name).read_text())
+
+        (fmap,) = maps
+        coords = [(row + [0.0, 0.0])[:2] for row in fmap.coords.tolist()]
+        assert cells("segments.csv", ["f1", "f2"]) == reprs(coords)
+        columns = ["distance_plane", "distance_full", "z_score",
+                   "two_sided_tail_percent", "percent_pairs_below"]
+        records = [[c[k] for k in columns] for c in loaded("impact.json")["campaigns"]]
+        assert len(records) == 3
+        assert cells("impact.csv", columns) == reprs(records)
+        assert cells("impact_curve.csv", columns[:2]) == reprs([r[:2] for r in records])
+        heights = [[m["height"]] for m in loaded("dendrogram.json")["merges"]]
+        assert cells("dendrogram.csv", ["height"]) == reprs(heights)
+        drill = loaded("drilldown.json")
+        for name, key, score in (
+            ("drilldown_tweets.csv", "top_tweets", "plane_contribution_percent"),
+            ("drilldown_terms.csv", "top_terms", "plane_magnitude"),
+        ):
+            top = [[t[score], *(t["coords"] + [0.0, 0.0])[:2]] for t in drill[key]]
+            assert top and cells(name, [score, "f1", "f2"]) == reprs(top)
+
+    def test_csv_writes_float_reprs(self, tmp_path):
+        pipe = _Pipeline(PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path)))
+        values = [math.nan, -0.0, 1e-05, 1e16, 0.1 + 0.2]
+        pipe._csv("floats.csv", [("a", "b", "c", "d", "e"), values])
+        text = (tmp_path / "floats.csv").read_bytes().decode("utf-8")
+        assert text == "a,b,c,d,e\nnan,-0.0,1e-05,1e+16,0.30000000000000004\n"
+        assert pipe.artifacts == [tmp_path / "floats.csv"]
 
 
 class TestErrors:
@@ -542,11 +602,26 @@ class TestErrors:
         payload = self._assert_unexpected(capfd, code, "RuntimeError")
         assert payload["message"] == "stage broke"
 
-    def test_unwritable_output_exit_5(self, tmp_path, capfd):
-        out = tmp_path / "taken"
-        out.write_text("a file, not a directory\n")
-        code = cli("ca", "--input", SYNTHETIC3, "--out", out)
-        self._assert_unexpected(capfd, code, "FileExistsError")
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+    def test_out_not_a_directory_exit_2_names_path(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        out = taken / "sub" if below else taken
+        assert cli("ca", "--input", SYNTHETIC3, "--out", out) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["path"] == str(out)
+        assert taken.read_text() == "a file, not a directory\n"
+
+    def test_unwritable_output_exit_5(self, tmp_path, capfd, monkeypatch):
+        # an output directory the system refuses to create is an I/O error,
+        # not a config error
+        def denied(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "mkdir", denied)
+        code = cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "x")
+        self._assert_unexpected(capfd, code, "PermissionError")
 
     def test_run_api_validates_subcommand(self, tmp_path):
         config = PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path / "o"))

@@ -144,7 +144,7 @@ class TestDistanceMatrix:
         pts = np.random.default_rng(shape[0]).standard_normal(shape)[:, cols]
         built = []
         for workers in (1, 2):
-            monkeypatch.setattr(cluster_module, "_default_workers", lambda w=workers: w)
+            monkeypatch.setattr(_workers, "_default_workers", lambda w=workers: w)
             built.append(cluster_module.pdist(pts))
         cond1, cond2 = built
         assert np.array_equal(cond1, cond2)

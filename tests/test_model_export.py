@@ -4,12 +4,11 @@
 formatted in row stripes on a process pool, each coordinate once for
 ``model.json`` and for ``model_rows.csv``/``model_cols.csv``.  These tests
 pin the result to the reference renderings (``json.dumps`` of the whole
-export with sorted keys, and ``csv.writer`` with ``_fmt`` per cell) and
+export with sorted keys, and ``csv.writer`` with each cell's ``repr``) and
 check that the bytes do not depend on the number of worker processes.
 """
 
 import csv
-import importlib
 import io
 import json
 
@@ -21,10 +20,8 @@ from hypothesis.extra import numpy as hnp
 
 from chronosem import _workers, cli, corpus
 from chronosem.ca import fit_ca, model_export_dict
-from chronosem.cli import _dump_leaves, _fmt, main
+from chronosem.cli import _dump_leaves, main
 from helpers import SYNTHETIC3, artifact_bytes, scale_corpus_rows, write_corpus_csv
-
-cluster = importlib.import_module("chronosem.cluster")
 
 
 def _tolist(obj):
@@ -46,7 +43,7 @@ def _reference_csv(ids, coords):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id"] + [f"f{s + 1}" for s in range(coords.shape[1])])
     for i, row in zip(ids, coords):
-        writer.writerow([i] + [_fmt(v) for v in row])
+        writer.writerow([i] + [repr(float(v)) for v in row])
     return buf.getvalue().encode("utf-8")
 
 
@@ -122,7 +119,6 @@ def test_artifacts_independent_of_worker_count(tmp_path, monkeypatch, name):
     outputs = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(_workers, "_default_workers", lambda: workers)
-        monkeypatch.setattr(cluster, "_default_workers", lambda: workers)
         for sub in ("ca", "all"):
             out = tmp_path / f"{sub}{workers}"
             before = len(started)
