@@ -44,7 +44,6 @@ from .impact import (
     ImpactReport,
     PairwiseStats,
     build_impact_report,
-    campaign_centroid,
     drilldown,
     pairwise_distance_stats,
     significance,
@@ -88,7 +87,6 @@ __all__ = [
     "ImpactReport",
     "PairwiseStats",
     "build_impact_report",
-    "campaign_centroid",
     "drilldown",
     "pairwise_distance_stats",
     "significance",

@@ -190,7 +190,10 @@ class _Pipeline:
     # -- artifacts -------------------------------------------------------
     def _open(self, name: str):
         """Open ``name`` in the output directory for writing, as UTF-8 with
-        ``\\n`` line ends on every platform, and record it as an artifact."""
+        ``\\n`` line ends on every platform, and record it as an artifact.
+        The first one removes an earlier run's manifest, now stale."""
+        if not self.artifacts:
+            (self.out / "manifest.json").unlink(missing_ok=True)
         self.artifacts.append(self.out / name)
         return open(self.artifacts[-1], "w", newline="", encoding="utf-8")
 

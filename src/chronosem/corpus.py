@@ -164,15 +164,6 @@ class TermDocMatrix:
     def principal_campaigns(self) -> np.ndarray:
         return self.campaigns[~self.row_supplementary]
 
-    def supplementary_rows(self) -> list[tuple[int, int, np.ndarray]]:
-        """(seq_no, campaign, term-count vector) per supplementary row."""
-        rows = np.flatnonzero(self.row_supplementary)
-        counts = self.counts[rows, : self.n_terms].toarray()
-        return [
-            (int(self.seq_nos[i]), int(self.campaigns[i]), vector)
-            for i, vector in zip(rows, counts)
-        ]
-
 
 def threshold_matrix(
     docs: Sequence[Document],

@@ -1,9 +1,9 @@
 """Campaign impact in the latent factor space.
 
 Impact is the Euclidean distance, over the full factor dimensionality,
-between a campaign's initiating document (projected with zero mass) and the
-campaign's centre of gravity (the aggregate profile of its ordinary
-documents).  Each distance is assessed against the distribution of all
+between a campaign's pooled initiating documents and the centre of
+gravity of its ordinary documents, each a zero-mass row of summed
+counts.  Each distance is assessed against the distribution of all
 pairwise distances between non-initiating documents: a Gaussian z-score and
 the empirical percentile of the impact distance within that distribution.
 """
@@ -83,22 +83,6 @@ def significance(distance_full: float, mean: float, stdev: float) -> tuple[float
     return z, tail_percent
 
 
-def campaign_centroid(
-    model: ca.CAModel, principal_counts, principal_campaigns, campaign: int
-) -> np.ndarray:
-    """Centre of gravity of a campaign's ordinary documents.
-
-    Projects the summed term counts of the member documents as a zero-mass
-    row, which lands exactly on the mass-weighted mean of the members'
-    factor coordinates.
-    """
-    members = np.flatnonzero(np.asarray(principal_campaigns) == campaign)
-    if len(members) == 0:
-        raise EmptyCampaign(f"campaign {campaign} has no principal documents")
-    agg = np.asarray(principal_counts[members].sum(axis=0)).ravel()
-    return ca.project_supplementary_row(model, agg)
-
-
 @dataclass(frozen=True)
 class CampaignImpact:
     campaign: int
@@ -139,37 +123,29 @@ def build_impact_report(
 ) -> ImpactReport:
     """Impact record for every campaign with an initiating document.
 
-    Several adjacent initiating documents of one campaign act as a single
-    initiator (their term counts are pooled).  Campaigns without a usable
-    initiating document or without ordinary member documents are listed in
+    A campaign's initiating documents are pooled into one initiator and its
+    ordinary documents into one centre of gravity.  Campaigns without a
+    usable initiating document or without ordinary documents are listed in
     ``skipped`` instead of failing the whole report.  ``dist`` is an
     optional condensed distance vector of ``model.row_coords``.
     """
-    principal_counts = tdm.principal_counts()
-    principal_campaigns = tdm.principal_campaigns()
     stats = pairwise_distance_stats(model.row_coords, dist)
-
-    initiators: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for seq_no, campaign, vector in tdm.supplementary_rows():
-        initiators.setdefault(campaign, []).append((seq_no, vector))
-
     scored = []  # (campaign, initiating seq_nos, member count, initiator - centroid)
     skipped: list[tuple[int, str]] = []
     for campaign in tdm.campaign_ids:
-        if campaign not in initiators:
+        rows = np.flatnonzero(tdm.campaigns == campaign)
+        launch = tdm.row_supplementary[rows]
+        if not launch.any():
             skipped.append((campaign, "no initiating document survived thresholding"))
             continue
-        members = np.flatnonzero(principal_campaigns == campaign)
-        if len(members) == 0:
+        if launch.all():
             skipped.append((campaign, "no principal documents"))
             continue
-        seq_nos = tuple(s for s, _ in initiators[campaign])
-        profile = np.sum([v for _, v in initiators[campaign]], axis=0)
-        proj = ca.project_supplementary_row(model, profile)
-        centroid = campaign_centroid(
-            model, principal_counts, principal_campaigns, campaign
-        )
-        scored.append((campaign, seq_nos, int(len(members)), proj - centroid))
+        counts = tdm.counts[rows, : tdm.n_terms].toarray()
+        proj = ca.project_supplementary_row(model, counts[launch].sum(axis=0))
+        centroid = ca.project_supplementary_row(model, counts[~launch].sum(axis=0))
+        seq_nos = tuple(tdm.seq_nos[rows[launch]].tolist())
+        scored.append((campaign, seq_nos, int((~launch).sum()), proj - centroid))
     d_full = [float(np.linalg.norm(diff)) for *_, diff in scored]
     below = stats.percents_below(d_full)  # every campaign in one pass
     records: list[CampaignImpact] = []
@@ -234,34 +210,29 @@ def drilldown(
 
     plane = min(2, model.n_factors)
     seq_nos = tdm.seq_nos[rows]
-    init_seqs = [int(s) for s in tdm.seq_nos[rows][tdm.row_supplementary[rows]]]
+    init_seqs = seq_nos[tdm.row_supplementary[rows]].tolist()
 
-    tweets: list[dict] = []
+    tweets, term_list = [], []
     if plane > 0:
         ctr = ca.row_contributions(model)[:, :plane]
         share = ctr.sum(axis=1) / model.eigenvalues[:plane].sum()
-        order = np.argsort(-share, kind="stable")[: min(top_tweets, len(rows))]
-        for i in order:
-            tweets.append(
-                {
-                    "seq_no": int(seq_nos[i]),
-                    "plane_contribution_percent": float(100.0 * share[i]),
-                    "coords": model.row_coords[i, :plane].tolist(),
-                }
-            )
-
-    term_list: list[dict] = []
-    if plane > 0:
         mag = np.linalg.norm(model.col_coords[:, :plane], axis=1)
-        order = np.argsort(-mag, kind="stable")[: min(top_terms, len(terms))]
-        for j in order:
-            term_list.append(
-                {
-                    "term": terms[j],
-                    "plane_magnitude": float(mag[j]),
-                    "coords": model.col_coords[j, :plane].tolist(),
-                }
-            )
+        tweets = [
+            {
+                "seq_no": int(seq_nos[i]),
+                "plane_contribution_percent": float(100.0 * share[i]),
+                "coords": model.row_coords[i, :plane].tolist(),
+            }
+            for i in np.argsort(-share, kind="stable")[:top_tweets]
+        ]
+        term_list = [
+            {
+                "term": terms[j],
+                "plane_magnitude": float(mag[j]),
+                "coords": model.col_coords[j, :plane].tolist(),
+            }
+            for j in np.argsort(-mag, kind="stable")[:top_terms]
+        ]
 
     return DrilldownResult(
         campaign=campaign,

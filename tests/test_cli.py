@@ -442,6 +442,26 @@ class TestErrors:
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "DegenerateSpread"
 
+    def test_failed_run_leaves_no_stale_manifest(self, tmp_path, capsys):
+        out = tmp_path / "reuse"
+        assert cli("all", "--input", SYNTHETIC3, "--out", out, "--permutations", 200) == 0
+        manifest = (out / "manifest.json").read_bytes()
+        # a run that fails before its first file leaves the directory as it was
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"seq_no,text,is_initiating,campaign\n1,a b,yes,1\n")
+        assert cli("all", "--input", bad, "--out", out) == 3
+        assert (out / "manifest.json").read_bytes() == manifest
+        # one that fails after writing leaves no manifest naming the old files
+        flat = write_corpus_csv(
+            [(s, "alpha beta gamma delta", int(s == 1), 1) for s in range(1, 10)],
+            tmp_path / "flat.csv",
+        )
+        assert cli("all", "--input", flat, "--out", out) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert json.loads(err[-1])["error"] == "DegenerateSpread"
+        assert (out / "matrix.csv").exists()
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize(
         "name, content, line",
         [

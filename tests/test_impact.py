@@ -4,17 +4,19 @@ import pytest
 from chronosem import (
     build_impact_report,
     build_vocabulary,
-    campaign_centroid,
     cluster,
     drilldown,
     fit_ca,
+    merge_adjacent_initiating,
     pairwise_distance_stats,
+    project_supplementary_row,
+    row_contributions,
     significance,
     threshold_matrix,
 )
 from chronosem.errors import DegenerateSpread, DimensionMismatch, EmptyCampaign
 from chronosem.impact import PairwiseStats
-from helpers import docs_from_rows, synthetic_corpus_rows
+from helpers import docs_from_rows, scale_corpus_rows, synthetic_corpus_rows
 from oracles import weighted_mean_coords
 
 # published impact arithmetic: distance, mean, mean - stdev of the pairwise
@@ -153,39 +155,6 @@ class TestPairwiseStats:
             PairwiseStats(mean=0.0, stdev=1.0, n_pairs=1)
 
 
-class TestCampaignCentroid:
-    def test_single_member_campaign(self):
-        tdm, model = fitted_corpus()
-        counts = np.asarray(tdm.principal_counts().todense())
-        campaigns = np.full(counts.shape[0], -1)
-        campaigns[3] = 42
-        centroid = campaign_centroid(model, counts, campaigns, 42)
-        assert np.allclose(centroid, model.row_coords[3], atol=1e-9)
-
-    def test_weighted_mean_oracle(self):
-        tdm, model = fitted_corpus()
-        counts = np.asarray(tdm.principal_counts().todense())
-        campaigns = tdm.principal_campaigns()
-        for c in tdm.campaign_ids:
-            members = np.flatnonzero(campaigns == c)
-            centroid = campaign_centroid(model, counts, campaigns, c)
-            oracle = weighted_mean_coords(model.row_coords, model.row_masses, members)
-            assert np.allclose(centroid, oracle, atol=1e-9)
-
-    def test_all_documents_centroid_is_origin(self):
-        tdm, model = fitted_corpus()
-        counts = np.asarray(tdm.principal_counts().todense())
-        campaigns = np.zeros(counts.shape[0], dtype=int)
-        centroid = campaign_centroid(model, counts, campaigns, 0)
-        assert np.allclose(centroid, 0.0, atol=1e-9)
-
-    def test_empty_campaign(self):
-        tdm, model = fitted_corpus()
-        counts = np.asarray(tdm.principal_counts().todense())
-        with pytest.raises(EmptyCampaign):
-            campaign_centroid(model, counts, tdm.principal_campaigns(), 999)
-
-
 class TestImpactDistance:
     def test_plane_never_exceeds_full(self):
         tdm, model = fitted_corpus()
@@ -234,6 +203,43 @@ class TestImpactReport:
         assert report.skipped and report.skipped[0][0] == 2
 
 
+def edge_corpus():
+    """Four 50-document blocks where campaign 1 has two initiators that are
+    not adjacent (seq 1 and 20), campaign 2 none, and campaign 9 nothing
+    but one initiator."""
+    rows = [
+        (s, t, 1 if s == 20 else 0 if c == 2 else i, c)
+        for s, t, i, c in scale_corpus_rows(n_blocks=4, seed=3)
+    ]
+    rows.append((10000, rows[1][1], 1, 9))
+    docs = merge_adjacent_initiating(docs_from_rows(rows))
+    tdm = threshold_matrix(docs, build_vocabulary(docs), 5, 5)
+    _, model = fit_ca(tdm.principal_counts())
+    return tdm, model
+
+
+class TestImpactEdgeCorpus:
+    def test_initiators_members_and_skips(self):
+        report = build_impact_report(*edge_corpus())
+        assert [
+            (c.campaign, c.initiating_seq_nos, c.n_member_docs) for c in report.campaigns
+        ] == [(1, (1, 20), 48), (3, (101,), 49), (4, (151,), 49)]
+        assert report.skipped == [
+            (2, "no initiating document survived thresholding"),
+            (9, "no principal documents"),
+        ]
+
+    def test_pooled_initiator_to_member_weighted_mean(self):
+        tdm, model = edge_corpus()
+        record = build_impact_report(tdm, model).campaigns[0]
+        pooled = tdm.counts[np.isin(tdm.seq_nos, [1, 20]), : tdm.n_terms].sum(axis=0)
+        members = np.flatnonzero(tdm.principal_campaigns() == 1)
+        centroid = weighted_mean_coords(model.row_coords, model.row_masses, members)
+        expected = np.linalg.norm(project_supplementary_row(model, pooled) - centroid)
+        assert record.campaign == 1
+        assert record.distance_full == pytest.approx(expected, abs=1e-9)
+
+
 class TestDrilldown:
     def test_defaults_and_initiator_included(self):
         tdm, _ = fitted_corpus()
@@ -273,6 +279,26 @@ class TestDrilldown:
         tdm = threshold_matrix(docs, build_vocabulary(docs), 3, 3)
         result = drilldown(tdm, 9)
         assert result.top_terms[0]["term"] == "zebra"
+
+    def test_tied_scores_keep_document_and_term_order(self):
+        # texts repeat every fourth document and every word has a twin that
+        # always occurs beside it, so many scores tie exactly
+        words = [f"w{c}" for c in "abcdefghijkl"]
+        texts = [" ".join(f"{w} {w}x" for w in (words * 2)[3 * k :][:5]) for k in range(4)]
+        rows = [(d + 1, texts[d % 4], int(d == 0), 5) for d in range(40)]
+        docs = docs_from_rows(rows)
+        tdm = threshold_matrix(docs, build_vocabulary(docs), 3, 3)
+        result = drilldown(tdm, 5, top_tweets=40, top_terms=40)
+        model = result.model
+        share = row_contributions(model)[:, :2].sum(axis=1) / model.eigenvalues[:2].sum()
+        mag = np.linalg.norm(model.col_coords[:, :2], axis=1)
+        for scores, top, key, names in (
+            (share, result.top_tweets, "seq_no", result.seq_nos.tolist()),
+            (mag, result.top_terms, "term", result.terms),
+        ):
+            assert len(set(scores.tolist())) < len(scores) / 2  # ties present
+            stable = sorted(range(len(scores)), key=lambda i: -scores[i])
+            assert [t[key] for t in top] == [names[i] for i in stable]
 
     def test_unknown_campaign(self):
         tdm, _ = fitted_corpus()
