@@ -115,25 +115,24 @@ def total_inertia(table: ProbabilityTable) -> float:
     return float(np.sum(resid * resid / expected))
 
 
-def standardized_residuals(table: ProbabilityTable) -> np.ndarray:
-    """(f_ij - f_i f_j) / sqrt(f_i f_j); its squared Frobenius norm is the
-    total inertia.  Formed in two n×p buffers, with the same operations as
-    ``(f - expected) / sqrt(expected)``."""
-    expected = np.outer(table.row_masses, table.col_masses)
-    z = table.f - expected
-    z /= np.sqrt(expected, out=expected)
-    return z
-
-
 def decompose(table: ProbabilityTable) -> CAModel:
-    """Fit the factor space by SVD of the standardized residual matrix.
+    """Fit the factor space by SVD of the standardized residuals
+    (f_ij - f_i f_j) / sqrt(f_i f_j), whose squared Frobenius norm is the
+    total inertia.  They are formed in ``table.f``'s own buffer, so the
+    table is spent by the fit; call :func:`normalize` again to read the
+    probabilities.
 
     Factors with inertia at or below ``1e-12 * total_inertia`` are
     truncated; at most min(n-1, p-1) factors are kept.  Each factor's sign
     is fixed so its largest-magnitude row coordinate is positive.
     """
-    z = standardized_residuals(table)
-    inertia = float(np.sum(z * z))
+    expected = np.outer(table.row_masses, table.col_masses)
+    z = table.f  # (f - expected) / sqrt(expected), the same operations in place
+    z -= expected
+    z /= np.sqrt(expected, out=expected)
+    del expected  # only the residual table is held through the SVD
+    # squared in C order, so the sum's bits do not follow f's layout (column-major in drilldown)
+    inertia = float(np.sum(np.multiply(z, z, order="C")))
     # relative cutoff, floored at the squared-eps noise scale so a
     # zero-inertia table cannot promote rounding noise to a factor
     noise_floor = (np.finfo(float).eps * max(table.shape)) ** 2
@@ -144,7 +143,6 @@ def decompose(table: ProbabilityTable) -> CAModel:
         raise ConvergenceError(f"SVD failed: {exc}") from exc
     if not all(np.isfinite(a).all() for a in (u, sing, vt)):
         raise ConvergenceError("SVD returned a non-finite value")
-    del z  # LAPACK worked on its own copy
 
     n, p = table.shape
     max_rank = max(min(n - 1, p - 1), 0)
@@ -176,10 +174,9 @@ def decompose(table: ProbabilityTable) -> CAModel:
     return model
 
 
-def fit_ca(counts) -> tuple[ProbabilityTable, CAModel]:
-    """Normalize and decompose in one step."""
-    table = normalize(counts)
-    return table, decompose(table)
+def fit_ca(counts) -> CAModel:
+    """Normalize and decompose in one step; ``counts`` is left unchanged."""
+    return decompose(normalize(counts))
 
 
 def _contributions(masses: np.ndarray, coords: np.ndarray) -> np.ndarray:

@@ -230,7 +230,7 @@ class _Pipeline:
 
     @cached_property
     def model(self):
-        return ca.fit_ca(self.tdm.principal_counts())[1]
+        return ca.fit_ca(self.tdm.principal_counts())
 
     @cached_property
     def seq(self) -> list[int]:

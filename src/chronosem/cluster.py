@@ -42,9 +42,6 @@ class Dendrogram:
     def n_leaves(self) -> int:
         return len(self.leaves)
 
-    def heights(self) -> np.ndarray:
-        return np.array([m.height for m in self.merges])
-
 
 def _validate_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)

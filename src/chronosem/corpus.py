@@ -297,17 +297,22 @@ def _read_records(path: Path):
                 continue
             try:
                 yield line, json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{line}: malformed JSON ({exc.msg})") from None
+            except ValueError as exc:  # JSONDecodeError, or an over-long integer
+                msg = getattr(exc, "msg", exc)
+                raise CorpusFormatError(f"{path}:{line}: malformed JSON ({msg})") from None
     else:
         reader = csv.DictReader(io.StringIO(text, newline=""))
-        for rec in reader:
-            if None in rec or None in rec.values():
-                raise CorpusFormatError(
-                    f"{path}:{reader.line_num}: row does not have the "
-                    f"{len(reader.fieldnames)} fields of the header"
-                )
-            yield reader.line_num, rec
+        try:
+            for rec in reader:
+                if None in rec or None in rec.values():
+                    raise CorpusFormatError(
+                        f"{path}:{reader.line_num}: row does not have the "
+                        f"{len(reader.fieldnames)} fields of the header"
+                    )
+                yield reader.line_num, rec
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            # DictReader.line_num still names the last good record
+            raise CorpusFormatError(f"{path}:{reader.reader.line_num}: {exc}") from None
 
 
 def _id_field(name: str, value) -> int:

@@ -206,7 +206,7 @@ def drilldown(
     keep = np.flatnonzero(dense.sum(axis=0) > 0)
     dense = dense[:, keep]
     terms = [tdm.terms[j] for j in keep]
-    _, model = ca.fit_ca(dense)
+    model = ca.fit_ca(dense)
 
     plane = min(2, model.n_factors)
     seq_nos = tdm.seq_nos[rows]

@@ -291,7 +291,7 @@ def segment_centroids_as_supplementary(
     active = seg_counts[~supplementary]
     col_support = active.sum(axis=0)
     kept_cols = np.flatnonzero(col_support > 0)
-    _, model = ca.fit_ca(active[:, kept_cols])
+    model = ca.fit_ca(active[:, kept_cols])
 
     coords = np.zeros((result.n_segments, model.n_factors))
     coords[~supplementary] = model.row_coords

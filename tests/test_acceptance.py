@@ -83,14 +83,13 @@ def test_criterion_1_impact_arithmetic_fixture():
 def test_criterion_2_ca_oracle_equivalence(random_tables):
     worst_eig, worst_sum, worst_m2 = 0.0, 0.0, 0.0
     for counts in random_tables:
-        table = normalize(counts)
-        model = decompose(table)
+        model = decompose(normalize(counts))
         oracle = eigenvalues_bruteforce(counts)
         for s in range(len(model.eigenvalues)):
             worst_eig = max(worst_eig, abs(model.eigenvalues[s] - oracle[s]))
         for s in range(len(model.eigenvalues), len(oracle)):
             worst_eig = max(worst_eig, oracle[s])
-        inertia = total_inertia(table)
+        inertia = total_inertia(normalize(counts))
         worst_sum = max(worst_sum, abs(model.eigenvalues.sum() - inertia))
         worst_m2 = max(
             worst_m2, abs(inertia_row_cloud(counts) - inertia_col_cloud(counts))
@@ -108,8 +107,7 @@ def test_criterion_2_ca_oracle_equivalence(random_tables):
 def test_criterion_3_distance_invariance(random_tables):
     worst = 0.0
     for counts in random_tables:
-        table = normalize(counts)
-        model = decompose(table)
+        table, model = normalize(counts), decompose(normalize(counts))
         n = counts.shape[0]
         for i in range(n):
             for k in range(i + 1, n):
@@ -126,7 +124,7 @@ def test_criterion_3_distance_invariance(random_tables):
 def test_criterion_4_transition_and_supplementary(random_tables):
     worst_rt, worst_mean = 0.0, 0.0
     for counts in random_tables[:50]:
-        table, model = fit_ca(counts)
+        table, model = normalize(counts), fit_ca(counts)
         for i in range(counts.shape[0]):
             proj = project_supplementary_row(model, table.f[i])
             worst_rt = max(worst_rt, float(np.abs(proj - model.row_coords[i]).max(initial=0.0)))
@@ -136,7 +134,7 @@ def test_criterion_4_transition_and_supplementary(random_tables):
     docs = docs_from_rows(synthetic_corpus_rows())
     tdm = threshold_matrix(docs, build_vocabulary(docs), 5, 5)
     counts = np.asarray(tdm.principal_counts().todense())
-    _, model = fit_ca(counts)
+    model = fit_ca(counts)
     campaigns = tdm.principal_campaigns()
     worst_cc = 0.0
     for c in tdm.campaign_ids:

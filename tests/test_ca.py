@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import sparse
 
 from chronosem import (
     build_vocabulary,
@@ -168,18 +169,18 @@ class TestDecompose:
         rng = np.random.default_rng(5)
         for _ in range(20):
             counts = random_count_table(rng)
-            table, model = fit_ca(counts)
+            model = fit_ca(counts)
             n, p = counts.shape
             assert model.n_factors <= min(n - 1, p - 1)
             assert model.eigenvalues.sum() == pytest.approx(
-                total_inertia(table), abs=1e-9
+                total_inertia(normalize(counts)), abs=1e-9
             )
             assert np.all(np.diff(model.eigenvalues) <= 1e-15)
 
     def test_centred_factors(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            table, model = fit_ca(random_count_table(rng))
+            model = fit_ca(random_count_table(rng))
             for s in range(model.n_factors):
                 assert abs(np.sum(model.row_masses * model.row_coords[:, s])) < 1e-10
                 assert abs(np.sum(model.col_masses * model.col_coords[:, s])) < 1e-10
@@ -202,7 +203,7 @@ class TestDecompose:
     def test_distance_invariance_random_6x4(self):
         rng = np.random.default_rng(7)
         counts = rng.integers(1, 9, size=(6, 4))
-        table, model = fit_ca(counts)
+        table, model = normalize(counts), fit_ca(counts)
         worst = max(
             abs(chi2_distance(table, i, k) - factor_distance(model, i, k))
             for i in range(6)
@@ -213,18 +214,75 @@ class TestDecompose:
     @given(counts=count_tables)
     def test_chi2_distance_is_full_space_distance(self, counts):
         # criterion 3, at the tolerance of the fixed 6x4 example above
-        table, model = fit_ca(counts)
+        table, model = normalize(counts), fit_ca(counts)
         n = counts.shape[0]
         for i in range(n):
             for k in range(n):
                 assert abs(chi2_distance(table, i, k) - factor_distance(model, i, k)) < 1e-9
 
 
+def _svd_inputs(monkeypatch):
+    """Record a copy of every array ``np.linalg.svd`` is given, and the
+    array itself."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append((a, a.copy()))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+class TestFitMemory:
+    def test_svd_runs_in_the_table_buffer(self, monkeypatch):
+        # the residuals are formed in table.f, so the fit holds one n x p table
+        seen = _svd_inputs(monkeypatch)
+        table = normalize(random_count_table(np.random.default_rng(16)))
+        decompose(table)
+        assert len(seen) == 1
+        assert np.shares_memory(seen[0][0], table.f)
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_fit_leaves_its_input_unchanged(self, layout):
+        counts = random_count_table(np.random.default_rng(17)).astype(np.float64)
+        given = sparse.csr_array(counts) if layout == "csr" else counts
+        parts = (lambda m: [m.data, m.indices, m.indptr]) if layout == "csr" else (lambda m: [m])
+        before = [a.tobytes() for a in parts(given)]
+        fit_ca(given)
+        assert [a.tobytes() for a in parts(given)] == before
+
+    @pytest.mark.parametrize(
+        "counts",
+        [random_count_table(np.random.default_rng(seed)) for seed in range(18, 24)]
+        # a column-major table (drilldown slices one) keeps that layout in f
+        + [np.asfortranarray(random_count_table(np.random.default_rng(seed), 40, 30))
+           for seed in range(24, 27)]
+        + [np.array([[7]]), np.ones((3, 4))],
+        ids=[f"random{seed}" for seed in range(18, 24)]
+        + [f"column_major{seed}" for seed in range(24, 27)] + ["1x1", "no_factor"],
+    )
+    def test_residuals_equal_the_copying_formula(self, monkeypatch, counts):
+        table = normalize(counts)
+        expected = np.outer(table.row_masses, table.col_masses)
+        z = (table.f - expected) / np.sqrt(expected)
+        seen = _svd_inputs(monkeypatch)
+        model = decompose(table)
+        assert len(seen) == 1
+        got = seen[0][1]
+        assert (got.dtype, got.shape, got.tobytes()) == (z.dtype, z.shape, z.tobytes())
+        assert model.total_inertia == float(np.sum(z * z))
+        # the buffer's layout (column-major above) does not reach the factors
+        handed, ref = (np.linalg.svd(a, full_matrices=False) for a in (seen[0][0], z))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(handed, ref))
+
+
 class TestContributions:
     def test_sum_equals_eigenvalue(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            _, model = fit_ca(random_count_table(rng))
+            model = fit_ca(random_count_table(rng))
             ctr = row_contributions(model)
             assert np.allclose(ctr.sum(axis=0), model.eigenvalues, atol=1e-9)
             cc = model_export_dict(model)["cols"]["contributions"]
@@ -235,7 +293,7 @@ class TestContributions:
         counts = np.array(
             [[5, 5, 5], [5, 6, 5], [6, 5, 5], [5, 5, 6], [40, 1, 1]]
         )
-        _, model = fit_ca(counts)
+        model = fit_ca(counts)
         ctr = row_contributions(model)
         assert int(np.argmax(ctr[:, 0])) == 4
 
@@ -243,7 +301,7 @@ class TestContributions:
         # contribution reports use a percent-of-factor-inertia convention
         # like "0.04, 1.71, 9.94, ..." with two-decimal display
         rng = np.random.default_rng(9)
-        _, model = fit_ca(random_count_table(rng))
+        model = fit_ca(random_count_table(rng))
         export = model_export_dict(model)
         ctr = np.array(export["rows"]["contributions"])
         pct = 100.0 * ctr / np.array(export["eigenvalues"])
@@ -260,7 +318,7 @@ class TestCorrelations:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
-            _, model = fit_ca(random_count_table(rng))
+            model = fit_ca(random_count_table(rng))
             sums = model_export_dict(model)["rows"]["cos2"].sum(axis=1)
             assert np.allclose(sums, 1.0, atol=1e-9)
 
@@ -268,7 +326,7 @@ class TestCorrelations:
         # swapping the last two columns maps row2<->row3 and fixes rows 0/3,
         # so rows 0 and 3 lie exactly on the symmetric factor's axis
         counts = np.array([[6, 1, 1], [1, 5, 1], [1, 1, 5], [2, 3, 3]])
-        _, model = fit_ca(counts)
+        model = fit_ca(counts)
         assert model.n_factors == 2
         cos2 = model_export_dict(model)["rows"]["cos2"]
         for i in (0, 3):
@@ -279,14 +337,16 @@ class TestSupplementary:
     def test_mean_profile_projects_to_origin(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            table, model = fit_ca(random_count_table(rng))
+            counts = random_count_table(rng)
+            table, model = normalize(counts), fit_ca(counts)
             proj = project_supplementary_row(model, table.col_masses)
             assert np.allclose(proj, 0.0, atol=1e-9)
 
     def test_principal_row_round_trip(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
-            table, model = fit_ca(random_count_table(rng))
+            counts = random_count_table(rng)
+            table, model = normalize(counts), fit_ca(counts)
             for i in range(table.shape[0]):
                 proj = project_supplementary_row(model, table.f[i])
                 assert np.allclose(proj, model.row_coords[i], atol=1e-9)
@@ -294,7 +354,7 @@ class TestSupplementary:
     @given(counts=count_tables)
     def test_principal_row_round_trip_property(self, counts):
         # transition formula, at the tolerance of the fixed examples above
-        table, model = fit_ca(counts)
+        table, model = normalize(counts), fit_ca(counts)
         for i in range(table.shape[0]):
             proj = project_supplementary_row(model, table.f[i])
             assert np.allclose(proj, model.row_coords[i], atol=1e-9)
@@ -304,7 +364,7 @@ class TestSupplementary:
         docs = docs_from_rows(rows)
         tdm = threshold_matrix(docs, build_vocabulary(docs), 5, 5)
         counts = np.asarray(tdm.principal_counts().todense())
-        table, model = fit_ca(counts)
+        model = fit_ca(counts)
         campaigns = tdm.principal_campaigns()
         for c in tdm.campaign_ids:
             members = np.flatnonzero(campaigns == c)
@@ -314,7 +374,8 @@ class TestSupplementary:
             assert np.allclose(proj, oracle, atol=1e-9)
 
     def test_projection_leaves_model_untouched(self):
-        table, model = fit_ca(random_count_table(np.random.default_rng(14)))
+        counts = random_count_table(np.random.default_rng(14))
+        table, model = normalize(counts), fit_ca(counts)
         before = (
             model.eigenvalues.copy(),
             model.row_coords.copy(),
@@ -326,12 +387,12 @@ class TestSupplementary:
         assert np.array_equal(before[2], model.col_coords)
 
     def test_model_arrays_are_read_only(self):
-        _, model = fit_ca(random_count_table(np.random.default_rng(15)))
+        model = fit_ca(random_count_table(np.random.default_rng(15)))
         for name in ("eigenvalues", "row_coords", "col_coords", "row_masses", "col_masses"):
             with pytest.raises(ValueError):
                 getattr(model, name)[0] = 0.0
 
     def test_empty_profile_raises(self):
-        _, model = fit_ca(DIAG)
+        model = fit_ca(DIAG)
         with pytest.raises(EmptyProfile):
             project_supplementary_row(model, np.zeros(2))

@@ -472,10 +472,16 @@ class TestErrors:
             ("yes_flag.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,c d,yes,1\n", 3),
             ("two_flag.jsonl", b'{"seq_no": 1, "text": "a b", "is_initiating": 2}\n', 1),
             ("no_campaign.csv", b"seq_no,text,is_initiating,campaign\n1,alpha beta,1,\n", 2),
+            # over csv.field_size_limit() (131072) and over Python's 4300-digit
+            # int parsing limit
+            ("long_field.csv",
+             b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2," + b"a" * 200_000 + b",0,1\n", 3),
+            ("long_int.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"seq_no": ' + b"9" * 5000 + b"}\n", 2),
         ],
         ids=[
             "float_campaign", "malformed_jsonl", "non_utf8", "short_row",
             "yes_initiating", "numeric_initiating", "initiating_without_campaign",
+            "field_over_csv_limit", "integer_over_digit_limit",
         ],
     )
     def test_bad_corpus_record_exit_3_names_line(self, tmp_path, capsys, name, content, line):

@@ -51,7 +51,7 @@ class TestCluster:
             pts = rng.standard_normal((n, int(rng.integers(1, 5))))
             dendro = cluster(pts)
             assert len(dendro.merges) == n - 1
-            heights = dendro.heights()
+            heights = [m.height for m in dendro.merges]
             assert np.all(np.diff(heights) >= 0)
             for m in dendro.merges:
                 (ls, le) = dendro.intervals[m.left]
@@ -195,6 +195,6 @@ class TestDistanceMatrix:
     def test_given_matrix_is_used_and_checked(self):
         pts = np.random.default_rng(2).standard_normal((12, 3))
         dendro = cluster(pts, dist=cluster_module.pdist(pts))
-        assert dendro.heights().tolist() == cluster(pts).heights().tolist()
+        assert [m.height for m in dendro.merges] == [m.height for m in cluster(pts).merges]
         with pytest.raises(DimensionMismatch):
             cluster(pts, dist=cluster_module.pdist(pts[:-1]))

@@ -31,7 +31,7 @@ def fitted_corpus(**kwargs):
     rows = synthetic_corpus_rows(**kwargs)
     docs = docs_from_rows(rows)
     tdm = threshold_matrix(docs, build_vocabulary(docs), 5, 5)
-    _, model = fit_ca(tdm.principal_counts())
+    model = fit_ca(tdm.principal_counts())
     return tdm, model
 
 
@@ -197,7 +197,7 @@ class TestImpactReport:
         ]
         docs = docs_from_rows(rows)
         tdm = threshold_matrix(docs, build_vocabulary(docs), 5, 5)
-        _, model = fit_ca(tdm.principal_counts())
+        model = fit_ca(tdm.principal_counts())
         report = build_impact_report(tdm, model)
         assert {c.campaign for c in report.campaigns} == {1, 3}
         assert report.skipped and report.skipped[0][0] == 2
@@ -214,7 +214,7 @@ def edge_corpus():
     rows.append((10000, rows[1][1], 1, 9))
     docs = merge_adjacent_initiating(docs_from_rows(rows))
     tdm = threshold_matrix(docs, build_vocabulary(docs), 5, 5)
-    _, model = fit_ca(tdm.principal_counts())
+    model = fit_ca(tdm.principal_counts())
     return tdm, model
 
 

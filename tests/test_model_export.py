@@ -33,7 +33,7 @@ def _tolist(obj):
 def _reference_export(path):
     docs = corpus.merge_adjacent_initiating(corpus.load_corpus(path))
     tdm = corpus.threshold_matrix(docs, corpus.build_vocabulary(docs), 5, 5)
-    _, model = fit_ca(tdm.principal_counts())
+    model = fit_ca(tdm.principal_counts())
     seq = [int(s) for s in tdm.principal_seq_nos()]
     return model_export_dict(model, row_ids=seq, col_ids=tdm.terms)
 

@@ -248,7 +248,7 @@ class TestSegment:
 def _pool_clouds():
     docs = docs_from_rows(scale_corpus_rows(n_blocks=4))
     tdm = threshold_matrix(docs, build_vocabulary(docs), 5, 5)
-    yield "ca_rows", fit_ca(tdm.principal_counts())[1].row_coords
+    yield "ca_rows", fit_ca(tdm.principal_counts()).row_coords
     rng = np.random.default_rng(8)
     yield "random", rng.standard_normal((120, 6)) + 2.0 * (np.arange(120) // 15)[:, None]
 
@@ -428,7 +428,7 @@ class TestSegmentCentroids:
         docs = docs_from_rows(rows)
         tdm = threshold_matrix(docs, build_vocabulary(docs), 5, 5)
         counts = np.asarray(tdm.principal_counts().todense())
-        _, model = fit_ca(counts)
+        model = fit_ca(counts)
         return counts, model
 
     def test_segment_aggregate_projects_to_weighted_member_mean(self):
