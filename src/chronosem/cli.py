@@ -257,8 +257,8 @@ class _Pipeline:
         self._csv("matrix.csv", rows)
         self._json("matrix_roles.json", corpus.matrix_roles_dict(tdm))
         retained = set(tdm.terms)
-        rows = [(t, vocab.global_freq[t], vocab.doc_count[t], int(t in retained))
-                for t in vocab.terms]
+        rows = [(t, f, n, int(t in retained)) for t, f, n in
+                zip(vocab.terms, vocab.global_freq.tolist(), vocab.doc_count.tolist())]
         self._csv("vocab.csv", [("term", "global_freq", "doc_count", "retained"), *rows])
 
     def stage_ca(self):

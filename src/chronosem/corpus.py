@@ -3,9 +3,9 @@
 Raw documents are tokenized with deliberately blunt rules (alphabetic runs
 only, no stemming or lemmatization), a vocabulary is thresholded on global
 frequency and document count, and the surviving counts are assembled into a
-sparse matrix whose rows and columns carry analysis roles: ordinary documents
-are principal rows, initiating documents are supplementary rows, terms are
-principal columns and per-campaign indicator columns are supplementary.
+sparse matrix of term columns whose ordinary documents are principal rows
+and initiating documents supplementary rows; its export appends one
+supplementary indicator column per campaign.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ _RUMPS = frozenset({"ll", "s", "t"})
 _MIN_TOKEN_LEN = 2
 
 _ALPHA_RUN = re.compile(r"[A-Za-z]+")
+_DIGITS = re.compile(r" *([0-9]+) *")  # an id: ASCII digits, spaces around
 
 
 @dataclass(frozen=True)
@@ -93,14 +94,14 @@ class Vocabulary:
 
     ``terms`` preserves first-appearance order; ``counts`` is the
     documents x terms count matrix (one row per document, in corpus order,
-    one column per entry of ``terms``); ``global_freq`` counts every
-    occurrence, ``doc_count`` counts documents containing the term at least
-    once.
+    one column per entry of ``terms``).  ``global_freq`` and ``doc_count``
+    are int64 arrays aligned with ``terms``: every occurrence, and the
+    documents containing the term at least once.
     """
 
     terms: list[str]
-    global_freq: dict[str, int]
-    doc_count: dict[str, int]
+    global_freq: np.ndarray
+    doc_count: np.ndarray
     counts: sp.csr_matrix
 
 
@@ -121,20 +122,19 @@ def build_vocabulary(
     counts = sp.csr_matrix(
         (vals, cols, indptr), shape=(len(docs), len(index)), dtype=np.int64
     )
-    terms = list(index)
-    freq = np.asarray(counts.sum(axis=0)).ravel().tolist()
-    ndocs = np.bincount(counts.indices, minlength=len(terms)).tolist()
-    return Vocabulary(terms, dict(zip(terms, freq)), dict(zip(terms, ndocs)), counts)
+    freq = np.asarray(counts.sum(axis=0)).ravel()
+    ndocs = np.bincount(counts.indices, minlength=len(index)).astype(np.int64)
+    return Vocabulary(list(index), freq, ndocs, counts)
 
 
 @dataclass
 class TermDocMatrix:
-    """Thresholded counts with row/column role annotations.
+    """Thresholded counts with row role annotations.
 
-    Rows follow corpus order over the retained documents.  The first
-    ``len(terms)`` columns are principal term columns; one supplementary
-    indicator column per campaign id follows (value 1 in the row's campaign
-    column for every labelled document).
+    Rows follow corpus order over the retained documents; ``counts`` has one
+    column per entry of ``terms``.  ``campaign_ids`` are the sorted ids of
+    the labelled rows; :func:`matrix_to_coo_rows` writes their indicator
+    columns after the terms.
     """
 
     counts: sp.csr_matrix
@@ -156,7 +156,7 @@ class TermDocMatrix:
 
     def principal_counts(self) -> sp.csr_matrix:
         """Principal-row x principal-column block (the analyzed table)."""
-        return self.counts[~self.row_supplementary][:, : self.n_terms]
+        return self.counts[~self.row_supplementary]
 
     def principal_seq_nos(self) -> np.ndarray:
         return self.seq_nos[~self.row_supplementary]
@@ -188,11 +188,7 @@ def threshold_matrix(
             f"vocabulary counts {vocab.counts.shape[0]} documents, "
             f"not the {len(docs)} given"
         )
-    freq, ndocs = vocab.global_freq, vocab.doc_count
-    keep = np.array(
-        [freq[t] >= min_global_freq and ndocs[t] >= min_doc_count for t in vocab.terms],
-        dtype=bool,
-    )
+    keep = (vocab.global_freq >= min_global_freq) & (vocab.doc_count >= min_doc_count)
     # A term whose every occurrence sits in supplementary rows would leave a
     # zero column in the analyzed block.  It goes with the thresholds, before
     # the empty rows are found, so margins stay positive downstream and an
@@ -218,24 +214,13 @@ def threshold_matrix(
         [d.campaign if d.campaign is not None else -1 for d in kept_docs],
         dtype=np.int64,
     )
-    labelled = np.flatnonzero(campaigns >= 0)
-    campaign_ids = np.unique(campaigns[labelled])
-    cat_block = sp.csr_matrix(
-        (
-            np.ones(len(labelled), dtype=np.int64),
-            (labelled, np.searchsorted(campaign_ids, campaigns[labelled])),
-        ),
-        shape=(len(kept_docs), len(campaign_ids)),
-    )
-    counts = sp.hstack([term_block, cat_block], format="csr")
-
     return TermDocMatrix(
-        counts=counts,
+        counts=term_block,
         seq_nos=np.array([d.seq_no for d in kept_docs], dtype=np.int64),
         row_supplementary=supp,
         campaigns=campaigns,
         terms=retained,
-        campaign_ids=campaign_ids.tolist(),
+        campaign_ids=np.unique(campaigns[campaigns >= 0]).tolist(),
         dropped_docs=dropped,
         dropped_terms=dropped_terms,
     )
@@ -274,14 +259,18 @@ def merge_adjacent_initiating(docs: Sequence[Document]) -> list[Document]:
 
 def _read_text(path: Path) -> str:
     """The file's text, without a leading byte-order mark; a byte sequence
-    that is not UTF-8 raises :class:`CorpusFormatError` naming
-    ``path:line``."""
+    that is not UTF-8, or a NUL (which ``csv`` reads only on Python 3.11+),
+    raises :class:`CorpusFormatError` naming ``path:line``."""
     try:
-        return path.read_bytes().decode("utf-8-sig")
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # exc.object holds the bytes after the mark, which has no newline
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+    if "\0" in text:
+        line = text.count("\n", 0, text.index("\0")) + 1
+        raise CorpusFormatError(f"{path}:{line}: NUL character")
+    return text
 
 
 def _read_records(path: Path):
@@ -316,12 +305,14 @@ def _read_records(path: Path):
 
 
 def _id_field(name: str, value) -> int:
-    """A nonnegative int64 written as an integer: rejects 1.0, 1.5,
-    booleans, and ids that are negative or do not fit the int64 arrays of
-    :class:`TermDocMatrix` (whose campaigns mark "none" with -1)."""
-    n = int(str(value))
+    """A nonnegative int64 written in ASCII decimal digits, optionally
+    between spaces: rejects 1.0, 1_0, +5, -1, non-ASCII digits, booleans,
+    and ids that do not fit the int64 arrays of :class:`TermDocMatrix`
+    (whose campaigns mark "none" with -1)."""
+    digits = _DIGITS.fullmatch(str(value))
+    n = int(digits.group(1)) if digits else -1
     if not 0 <= n < 2**63:
-        raise ValueError(f"{name} {n} outside 0..2**63-1")
+        raise ValueError(f"{name} {value!r} is not a decimal integer in 0..2**63-1")
     return n
 
 
@@ -393,10 +384,16 @@ def load_stopwords(path: str | Path) -> frozenset:
 
 
 def matrix_to_coo_rows(tdm: TermDocMatrix) -> Iterable[tuple[int, int, int]]:
-    """Coordinate-list triples (row, col, value) in row-major order."""
+    """Coordinate-list triples (row, col, value) in row-major order: the term
+    counts, and a 1 in column ``n_terms + k`` for a row of ``campaign_ids[k]``."""
     coo = tdm.counts.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    return zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
+    labelled = np.flatnonzero(tdm.campaigns >= 0)
+    cols = tdm.n_terms + np.searchsorted(tdm.campaign_ids, tdm.campaigns[labelled])
+    row = np.concatenate([coo.row, labelled])
+    col = np.concatenate([coo.col, cols])
+    data = np.concatenate([coo.data, np.ones(len(labelled), dtype=coo.data.dtype)])
+    order = np.lexsort((col, row))
+    return zip(row[order].tolist(), col[order].tolist(), data[order].tolist())
 
 
 def matrix_roles_dict(tdm: TermDocMatrix) -> dict:
@@ -414,7 +411,7 @@ def matrix_roles_dict(tdm: TermDocMatrix) -> dict:
     cols = [{"name": t, "role": "term"} for t in tdm.terms]
     cols += [{"name": f"campaign:{c}", "role": "campaign"} for c in tdm.campaign_ids]
     return {
-        "shape": [tdm.n_rows, tdm.counts.shape[1]],
+        "shape": [tdm.n_rows, tdm.n_terms + len(tdm.campaign_ids)],
         "rows": rows,
         "cols": cols,
         "dropped_docs": list(tdm.dropped_docs),

@@ -141,7 +141,7 @@ def build_impact_report(
         if launch.all():
             skipped.append((campaign, "no principal documents"))
             continue
-        counts = tdm.counts[rows, : tdm.n_terms].toarray()
+        counts = tdm.counts[rows].toarray()
         proj = ca.project_supplementary_row(model, counts[launch].sum(axis=0))
         centroid = ca.project_supplementary_row(model, counts[~launch].sum(axis=0))
         seq_nos = tuple(tdm.seq_nos[rows[launch]].tolist())
@@ -202,7 +202,7 @@ def drilldown(
     if campaign not in tdm.campaign_ids:  # -1 marks unlabelled documents
         raise EmptyCampaign(f"campaign {campaign} has no documents")
     rows = np.flatnonzero(tdm.campaigns == campaign)
-    dense = np.asarray(tdm.counts[rows][:, : tdm.n_terms].todense(), dtype=float)
+    dense = np.asarray(tdm.counts[rows].todense(), dtype=float)
     keep = np.flatnonzero(dense.sum(axis=0) > 0)
     dense = dense[:, keep]
     terms = [tdm.terms[j] for j in keep]

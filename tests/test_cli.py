@@ -477,11 +477,15 @@ class TestErrors:
             ("long_field.csv",
              b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2," + b"a" * 200_000 + b",0,1\n", 3),
             ("long_int.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"seq_no": ' + b"9" * 5000 + b"}\n", 2),
+            # csv.reader reads a NUL on Python 3.11+ and rejects it before
+            ("nul.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,c\0d,0,1\n", 3),
+            ("underscore_id.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,c d,0,1_0\n", 3),
         ],
         ids=[
             "float_campaign", "malformed_jsonl", "non_utf8", "short_row",
             "yes_initiating", "numeric_initiating", "initiating_without_campaign",
-            "field_over_csv_limit", "integer_over_digit_limit",
+            "field_over_csv_limit", "integer_over_digit_limit", "nul_byte",
+            "underscore_in_id",
         ],
     )
     def test_bad_corpus_record_exit_3_names_line(self, tmp_path, capsys, name, content, line):

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronosem import (
@@ -91,8 +92,10 @@ class TestVocabulary:
         ]
         vocab = build_vocabulary(docs)
         assert set(vocab.terms) == {"apple", "banana", "cherry"}
-        assert vocab.global_freq == {"apple": 1, "banana": 3, "cherry": 1}
-        assert vocab.doc_count == {"apple": 1, "banana": 3, "cherry": 1}
+        assert dict(zip(vocab.terms, vocab.global_freq.tolist())) == {
+            "apple": 1, "banana": 3, "cherry": 1}
+        assert dict(zip(vocab.terms, vocab.doc_count.tolist())) == {
+            "apple": 1, "banana": 3, "cherry": 1}
 
     def test_single_empty_doc(self):
         vocab = build_vocabulary([Document(1, "")])
@@ -100,8 +103,8 @@ class TestVocabulary:
 
     def test_duplicate_token_one_doc(self):
         vocab = build_vocabulary([Document(1, "banana banana")])
-        assert vocab.global_freq["banana"] == 2
-        assert vocab.doc_count["banana"] == 1
+        assert dict(zip(vocab.terms, vocab.global_freq.tolist())) == {"banana": 2}
+        assert dict(zip(vocab.terms, vocab.doc_count.tolist())) == {"banana": 1}
 
     def test_requires_documents(self):
         with pytest.raises(CorpusFormatError):
@@ -209,10 +212,11 @@ class TestThreshold:
         init_seq = {r[0] for r in rows if r[2] == 1}
         got = {int(s) for s in tdm.seq_nos[tdm.row_supplementary]}
         assert got == init_seq
-        # one 1 per labelled row in its campaign column
-        indicators = np.asarray(
-            tdm.counts[:, tdm.n_terms :].todense()
-        )
+        # one 1 per labelled row in its campaign column of the export
+        dense = np.zeros(matrix_roles_dict(tdm)["shape"], dtype=np.int64)
+        for r, c, v in matrix_to_coo_rows(tdm):
+            dense[r, c] = v
+        indicators = dense[:, tdm.n_terms :]
         assert indicators.shape[1] == len(tdm.campaign_ids)
         assert np.all(indicators.sum(axis=1) == 1)  # every row labelled here
         for i in range(tdm.n_rows):
@@ -243,7 +247,7 @@ class TestThreshold:
             tdm = threshold_matrix(docs, build_vocabulary(docs, cfg), *thresholds)
             by_seq = {d.seq_no: Counter(tokenize(d.raw_text, cfg)) for d in docs}
             expected = [[by_seq[int(s)][t] for t in tdm.terms] for s in tdm.seq_nos]
-            got = tdm.counts[:, : tdm.n_terms].toarray()
+            got = tdm.counts.toarray()
             assert got.tolist() == expected
 
     def test_rejects_vocabulary_of_other_documents(self):
@@ -344,15 +348,47 @@ class TestCorpusIO:
 
     @pytest.mark.parametrize("field", ["seq_no", "campaign"])
     def test_ids_are_nonnegative_int64(self, tmp_path, field):
-        path = tmp_path / "corpus.jsonl"
-        for value, ok in ((0, True), (2**63 - 1, True), (2**63, False), (-1, False)):
+        # the id as written, and the id read (None: the record is rejected);
+        # only ASCII decimal digits count, with spaces around them at most
+        cases = [
+            (0, 0), (2**63 - 1, 2**63 - 1), (2**63, None), (-1, None),
+            ("7", 7), (" 7 ", 7), ("007", 7), ("1_0", None), ("\u0661", None),
+            ("+5", None), ("-0", None), ("7.0", None), ("\t7", None),
+        ]
+        jsonl, csv_path = tmp_path / "corpus.jsonl", tmp_path / "corpus.csv"
+        for value, expected in cases:
             rec = {"seq_no": 1, "text": "alpha", "is_initiating": 1, "campaign": 1, field: value}
-            path.write_text(json.dumps(rec) + "\n")
-            if ok:
-                assert getattr(load_corpus(path)[0], field) == value
-            else:
-                with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:1: "):
-                    load_corpus(path)
+            jsonl.write_text(json.dumps(rec) + "\n")
+            csv_path.write_text(
+                ",".join(rec) + "\n" + ",".join(str(v) for v in rec.values()) + "\n",
+                encoding="utf-8",
+            )
+            for path, line in ((jsonl, 1), (csv_path, 2)):
+                if expected is not None:
+                    assert getattr(load_corpus(path)[0], field) == expected
+                else:
+                    with pytest.raises(
+                        CorpusFormatError, match=rf"^{re.escape(str(path))}:{line}: "
+                    ):
+                        load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "name, content, line",
+        [
+            ("c.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,c\0d,0,1\n", 3),
+            # a quoted line break inside a field still counts as a line
+            ("c.csv", b'seq_no,text,is_initiating,campaign\n1,"a\nb\0",0,1\n', 3),
+            ("c.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": "\0"}\n', 2),
+            ("stop.txt", b"and\nthe\0\n", 2),
+        ],
+        ids=["csv", "csv_quoted_newline", "jsonl", "stopwords"],
+    )
+    def test_nul_character_names_its_line(self, tmp_path, name, content, line):
+        path = tmp_path / name
+        path.write_bytes(content)
+        read = load_stopwords if name == "stop.txt" else load_corpus
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:{line}: NUL"):
+            read(path)
 
     def test_stopword_file(self, tmp_path):
         path = tmp_path / "stop.txt"
@@ -365,21 +401,81 @@ class TestCorpusIO:
         tdm = threshold_matrix(docs, build_vocabulary(docs), 2, 2)
         roles = matrix_roles_dict(tdm)
         triples = list(matrix_to_coo_rows(tdm))
-        assert roles["shape"] == [tdm.n_rows, tdm.counts.shape[1]]
+        assert roles["shape"] == [tdm.n_rows, tdm.n_terms + len(tdm.campaign_ids)]
         assert len(roles["rows"]) == tdm.n_rows
         assert sum(1 for c in roles["cols"] if c["role"] == "term") == tdm.n_terms
         dense = np.zeros(roles["shape"])
         for r, c, v in triples:
             dense[r, c] = v
-        assert np.array_equal(dense, np.asarray(tdm.counts.todense()))
+        assert np.array_equal(dense[:, : tdm.n_terms], tdm.counts.toarray())
+        indicators = np.equal.outer(tdm.campaigns, tdm.campaign_ids)
+        assert np.array_equal(dense[:, tdm.n_terms :], indicators)
+
+    @example(
+        # unlabelled ordinary documents, a campaign 0, ids 0, 3 and 9 with
+        # gaps, an emptied initiator, and a campaign whose one document is
+        # dropped as empty
+        [
+            ("alpha beta", True, 3), ("alpha gamma", False, None),
+            ("beta gamma", False, 3), ("gamma delta", True, 0),
+            ("delta alpha", False, 0), ("beta beta", False, None),
+            ("alpha delta", False, 9), ("epsilon", True, 9), ("omega", True, 12),
+        ]
+    )
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["alpha", "beta", "gamma", "zeta"]), max_size=4)
+                .map(" ".join),
+                st.booleans(),
+                st.sampled_from([None, 0, 3, 9]),
+            ).filter(lambda d: d[2] is not None or not d[1]),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_matrix_export_matches_stacked_indicator_matrix(self, specs):
+        # the matrix as it was once held: term block and indicator block side
+        # by side, read back in row-major order
+        docs = [Document(i + 1, text, init, camp) for i, (text, init, camp) in enumerate(specs)]
+        try:
+            tdm = threshold_matrix(docs, build_vocabulary(docs, NO_STOPWORDS), 1, 1)
+        except AllDocumentsEmpty:
+            return
+        kept_seq_nos = set(tdm.seq_nos.tolist())
+        kept = [d for d in docs if d.seq_no in kept_seq_nos]
+        ids = sorted({d.campaign for d in kept if d.campaign is not None})
+        assert tdm.campaign_ids == ids
+        labelled = [i for i, d in enumerate(kept) if d.campaign is not None]
+        cat = sp.csr_matrix(
+            (np.ones(len(labelled), dtype=np.int64),
+             (labelled, [ids.index(kept[i].campaign) for i in labelled])),
+            shape=(tdm.n_rows, len(ids)),
+        )
+        stacked = sp.hstack([tdm.counts, cat], format="csr")
+        stacked.sort_indices()
+        expected = [
+            (i, int(j), int(v))
+            for i in range(stacked.shape[0])
+            for j, v in zip(stacked.indices[stacked.indptr[i] : stacked.indptr[i + 1]],
+                            stacked.data[stacked.indptr[i] : stacked.indptr[i + 1]])
+        ]
+        triples = list(matrix_to_coo_rows(tdm))
+        assert triples == expected
+        assert all(type(x) is int for t in triples for x in t)
+        assert matrix_roles_dict(tdm)["shape"] == list(stacked.shape)
 
 
 # text of any Unicode scalar values (UTF-8 cannot hold lone surrogates)
 _texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+# the same without NUL, which a corpus file may not hold (JSON escapes it)
+_file_texts = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=40
+)
 
 
 @st.composite
-def _records(draw):
+def _records(draw, texts=_file_texts):
     """Strictly increasing seq_nos with random texts, flags and campaigns."""
     gaps = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=8))
     seq_nos = np.cumsum(gaps).tolist()
@@ -387,7 +483,7 @@ def _records(draw):
     for seq_no in seq_nos:
         initiating = draw(st.booleans())
         campaign = draw(st.integers(0, 10**6) if initiating else st.none() | st.integers(0, 10**6))
-        docs.append(Document(seq_no, draw(_texts), initiating, campaign))
+        docs.append(Document(seq_no, draw(texts), initiating, campaign))
     return docs
 
 
@@ -437,7 +533,9 @@ class TestCorpusProperties:
     def test_csv_round_trip(self, docs, flags):
         assert _load("c.csv", _csv_bytes(docs, flags)) == docs
 
-    @given(docs=_records(), ensure_ascii=st.booleans(), suffix=st.sampled_from(["jsonl", "json"]))
+    @given(
+        docs=_records(_texts), ensure_ascii=st.booleans(), suffix=st.sampled_from(["jsonl", "json"])
+    )
     def test_jsonl_round_trip(self, docs, ensure_ascii, suffix):
         assert _load(f"c.{suffix}", _jsonl_bytes(docs, ensure_ascii)) == docs
 
@@ -471,6 +569,11 @@ class TestCorpusProperties:
 
     @settings(max_examples=300)
     @given(data=st.binary(max_size=200), suffix=st.sampled_from(["csv", "jsonl"]))
+    # a NUL byte, which csv.reader rejects before Python 3.11 and reads after,
+    # and a field over csv.field_size_limit() (131,072 characters)
+    @example(data=b"1,a\0b,0,\n", suffix="csv")
+    @example(data=b'{"seq_no": 1, "text": "a\0b"}\n', suffix="jsonl")
+    @example(data=b"1," + b"a" * 131_073 + b",0,\n", suffix="csv")
     def test_any_bytes_load_or_raise_corpus_format_error(self, data, suffix):
         header = b"seq_no,text,is_initiating,campaign\n" if suffix == "csv" else b""
         try:

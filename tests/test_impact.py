@@ -232,7 +232,7 @@ class TestImpactEdgeCorpus:
     def test_pooled_initiator_to_member_weighted_mean(self):
         tdm, model = edge_corpus()
         record = build_impact_report(tdm, model).campaigns[0]
-        pooled = tdm.counts[np.isin(tdm.seq_nos, [1, 20]), : tdm.n_terms].sum(axis=0)
+        pooled = tdm.counts[np.isin(tdm.seq_nos, [1, 20])].sum(axis=0)
         members = np.flatnonzero(tdm.principal_campaigns() == 1)
         centroid = weighted_mean_coords(model.row_coords, model.row_masses, members)
         expected = np.linalg.norm(project_supplementary_row(model, pooled) - centroid)
