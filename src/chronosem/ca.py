@@ -179,17 +179,8 @@ def fit_ca(counts) -> CAModel:
     return decompose(normalize(counts))
 
 
-def _contributions(masses: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    return masses[:, None] * coords**2
-
-
-def _cos2(coords: np.ndarray) -> np.ndarray:
-    sq = coords**2
-    denom = sq.sum(axis=1, keepdims=True)
-    out = np.zeros_like(sq)
-    nz = denom[:, 0] > 0
-    out[nz] = sq[nz] / denom[nz]
-    return out
+def _contributions(masses: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    return masses[:, None] * sq  # sq: the squared coordinates
 
 
 def row_contributions(model: CAModel) -> np.ndarray:
@@ -197,7 +188,7 @@ def row_contributions(model: CAModel) -> np.ndarray:
 
     Columns sum to the corresponding eigenvalue.
     """
-    return _contributions(model.row_masses, model.row_coords)
+    return _contributions(model.row_masses, model.row_coords**2)
 
 
 def project_supplementary_row(model: CAModel, profile) -> np.ndarray:
@@ -224,12 +215,17 @@ def project_supplementary_row(model: CAModel, profile) -> np.ndarray:
 
 
 def _cloud(ids: list | None, masses: np.ndarray, coords: np.ndarray) -> dict:
+    sq = coords**2
+    contributions = _contributions(masses, sq)
+    denom = sq.sum(axis=1, keepdims=True)
+    # cos2 in sq's own buffer; a row of exact zeros keeps its zeros
+    np.divide(sq, denom, out=sq, where=denom > 0)
     return {
         "ids": list(ids) if ids is not None else list(range(len(masses))),
         "masses": masses,
         "coords": coords,
-        "contributions": _contributions(masses, coords),
-        "cos2": _cos2(coords),
+        "contributions": contributions,
+        "cos2": sq,
     }
 
 
@@ -243,6 +239,9 @@ def model_export_dict(
 
     Numeric leaves are ndarrays, so a writer can turn one leaf at a time
     into JSON (``.tolist()`` then ``json.dumps``); the rest is JSON-ready.
+    Each cloud's contributions and cos² come from one squared table, whose
+    buffer becomes the cos² leaf, so the export holds nothing beyond what
+    it returns.
     """
     pct = model.percent_inertia
     return {

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +18,7 @@ from chronosem import (
     threshold_matrix,
     total_inertia,
 )
-from chronosem.ca import model_export_dict
+from chronosem.ca import CAModel, model_export_dict
 from chronosem.errors import ConvergenceError, EmptyProfile, ZeroMarginError
 from helpers import docs_from_rows, random_count_table, synthetic_corpus_rows
 from oracles import (
@@ -331,6 +333,74 @@ class TestCorrelations:
         cos2 = model_export_dict(model)["rows"]["cos2"]
         for i in (0, 3):
             assert sorted(cos2[i]) == pytest.approx([0.0, 1.0], abs=1e-9)
+
+
+def _coords_model(row_coords, col_coords, rng):
+    """A CAModel holding the given coordinates and random positive masses."""
+    n_factors = row_coords.shape[1]
+    return CAModel(
+        eigenvalues=np.linspace(1.0, 0.5, n_factors),
+        row_coords=row_coords,
+        col_coords=col_coords,
+        row_masses=rng.random(len(row_coords)) + 0.5,
+        col_masses=rng.random(len(col_coords)) + 0.5,
+        total_inertia=1.0,
+    )
+
+
+def _zero_row_model():
+    rng = np.random.default_rng(27)
+    rows = rng.normal(size=(6, 3))
+    rows[2] = 0.0
+    return _coords_model(rows, rng.normal(size=(4, 3)), rng)
+
+
+class TestExportTables:
+    @pytest.mark.parametrize(
+        "make_model",
+        [lambda seed=seed: fit_ca(random_count_table(np.random.default_rng(seed)))
+         for seed in range(40, 60)]
+        + [_zero_row_model, lambda: fit_ca(np.outer([1, 2, 3], [2, 1, 4]))],
+        ids=[f"random{seed}" for seed in range(40, 60)] + ["zero_row", "no_factor"],
+    )
+    def test_tables_equal_the_separate_formulas(self, make_model):
+        # contributions m_i F_s(i)^2, and cos2 with zeros where a row's
+        # squared distance to the origin is 0; a 0/0 raises here
+        with np.errstate(all="raise"):
+            model = make_model()
+            export = model_export_dict(model)
+            for cloud, masses, coords in (
+                ("rows", model.row_masses, model.row_coords),
+                ("cols", model.col_masses, model.col_coords),
+            ):
+                sq = coords**2
+                denom = sq.sum(axis=1, keepdims=True)
+                cos2 = np.zeros_like(sq)
+                nz = denom[:, 0] > 0
+                cos2[nz] = sq[nz] / denom[nz]
+                for got, want in ((export[cloud]["contributions"], masses[:, None] * coords**2),
+                                  (export[cloud]["cos2"], cos2)):
+                    assert (got.dtype, got.shape, got.tobytes()) == (
+                        want.dtype, want.shape, want.tobytes())
+        if model.n_factors == 0:
+            assert export["rows"]["cos2"].shape == (3, 0)
+
+    # the 1k corpus's shapes, 980 rows and 348 columns on 346 factors; and many
+    # documents over few terms, where one spare row-cloud table exceeds the bound
+    @pytest.mark.parametrize("n, p, s", [(980, 348, 346), (2940, 101, 100)],
+                             ids=["corpus_1k", "few_terms"])
+    def test_export_holds_only_its_tables(self, n, p, s):
+        rng = np.random.default_rng(28)
+        model = _coords_model(rng.normal(size=(n, s)), rng.normal(size=(p, s)), rng)
+        tracemalloc.start()
+        try:
+            export = model_export_dict(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = sum(export[c][k].nbytes for c in ("rows", "cols")
+                     for k in ("contributions", "cos2"))
+        assert peak < 1.25 * tables
 
 
 class TestSupplementary:
