@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import hashlib
 import itertools
 import json
+import os
 import platform
 import sys
 from dataclasses import dataclass
@@ -67,9 +69,10 @@ class PipelineConfig:
 
 
 def _validate(config: PipelineConfig, subcommand: str):
-    if not Path(config.input).is_file():
+    # os.path.isfile, unlike Path.is_file, is False for a name too long to exist
+    if not os.path.isfile(config.input):
         raise ConfigError(f"input is not an existing file: {config.input}")
-    if config.stopwords is not None and not Path(config.stopwords).is_file():
+    if config.stopwords is not None and not os.path.isfile(config.stopwords):
         raise ConfigError(f"stopword list is not an existing file: {config.stopwords}")
     if config.min_global_freq < 1 or config.min_doc_count < 1:
         raise ConfigError("thresholds --min-freq and --min-docs must be >= 1")
@@ -183,7 +186,11 @@ class _Pipeline:
         self.out = Path(config.out)
         try:
             self.out.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:
+        except OSError as exc:
+            # a file in the way or a name too long to create is the caller's
+            # mistake; any other refusal (permissions, say) is an I/O error
+            if exc.errno not in (errno.EEXIST, errno.ENOTDIR, errno.ENAMETOOLONG):
+                raise
             raise ConfigError(f"output is not a directory: {config.out}") from exc
         self.artifacts: list[Path] = []
 

@@ -16,6 +16,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -194,34 +195,30 @@ def threshold_matrix(
     # the empty rows are found, so margins stay positive downstream and an
     # initiator left with only such terms is dropped as empty.
     initiating = np.array([d.is_initiating for d in docs], dtype=bool)
+    seq_nos = np.array([d.seq_no for d in docs], dtype=np.int64)
+    campaigns = np.array(
+        [-1 if d.campaign is None else d.campaign for d in docs], dtype=np.int64
+    )
     used = vocab.counts.T @ (~initiating).astype(np.int64) > 0
     dropped_terms = [t for t, k, u in zip(vocab.terms, keep, used) if k and not u]
     retained = [t for t, k, u in zip(vocab.terms, keep, used) if k and u]
     term_block = vocab.counts[:, keep & used]
     nonempty = np.diff(term_block.indptr) > 0
-    term_block = term_block[nonempty]
-    kept_docs = [d for d, k in zip(docs, nonempty) if k]
-    dropped = [d.seq_no for d, k in zip(docs, nonempty) if not k]
-
     supp = initiating[nonempty]
-    if not kept_docs or not np.any(~supp):
+    if not np.any(~supp):
         raise AllDocumentsEmpty(
             "no principal document survives thresholding "
             f"(min_global_freq={min_global_freq}, min_doc_count={min_doc_count})"
         )
-
-    campaigns = np.array(
-        [d.campaign if d.campaign is not None else -1 for d in kept_docs],
-        dtype=np.int64,
-    )
+    campaigns = campaigns[nonempty]
     return TermDocMatrix(
-        counts=term_block,
-        seq_nos=np.array([d.seq_no for d in kept_docs], dtype=np.int64),
+        counts=term_block[nonempty],
+        seq_nos=seq_nos[nonempty],
         row_supplementary=supp,
         campaigns=campaigns,
         terms=retained,
         campaign_ids=np.unique(campaigns[campaigns >= 0]).tolist(),
-        dropped_docs=dropped,
+        dropped_docs=seq_nos[~nonempty].tolist(),
         dropped_terms=dropped_terms,
     )
 
@@ -232,28 +229,18 @@ def merge_adjacent_initiating(docs: Sequence[Document]) -> list[Document]:
     Campaigns occasionally launch with two back-to-back posts; the pair is
     analyzed as a single initiating document that keeps the first seq_no
     and joins the texts with a space.  ``docs`` are in chronological order,
-    as :func:`load_corpus` returns them.
+    as :func:`load_corpus` returns them.  An initiator always has a
+    campaign, so ordinary documents (key ``None``) never join a run.
     """
     out: list[Document] = []
-    i = 0
-    while i < len(docs):
-        d = docs[i]
-        if not d.is_initiating:
-            out.append(d)
-            i += 1
-            continue
-        j = i + 1
-        while (
-            j < len(docs)
-            and docs[j].is_initiating
-            and docs[j].campaign == d.campaign
-        ):
-            j += 1
-        if j - i > 1:
-            text = " ".join(doc.raw_text for doc in docs[i:j])
-            d = Document(d.seq_no, text, True, d.campaign)
-        out.append(d)
-        i = j
+    runs = groupby(docs, key=lambda d: d.campaign if d.is_initiating else None)
+    for campaign, run in runs:
+        run = list(run)
+        if campaign is None or len(run) == 1:
+            out.extend(run)
+        else:
+            text = " ".join(d.raw_text for d in run)
+            out.append(Document(run[0].seq_no, text, True, campaign))
     return out
 
 
@@ -342,7 +329,6 @@ def load_corpus(path: str | Path) -> list[Document]:
     """
     path = Path(path)
     docs: list[Document] = []
-    prev = None
     for line, rec in _read_records(path):
         try:
             seq_no = _id_field("seq_no", rec["seq_no"])
@@ -354,23 +340,14 @@ def load_corpus(path: str | Path) -> list[Document]:
             campaign = (
                 None if camp is None or str(camp).strip() == "" else _id_field("campaign", camp)
             )
-            if init and campaign is None:
-                raise ValueError("initiating documents need a campaign id")
-        except (KeyError, ValueError, TypeError) as exc:
+            doc = Document(seq_no, str(text), init, campaign)
+        except (KeyError, ValueError, TypeError, CorpusFormatError) as exc:
             raise CorpusFormatError(f"{path}:{line}: bad record {rec!r}: {exc}") from None
-        if prev is not None and seq_no <= prev:
+        if docs and seq_no <= docs[-1].seq_no:
             raise CorpusFormatError(
                 f"{path}:{line}: seq_no {seq_no} not strictly increasing"
             )
-        prev = seq_no
-        docs.append(
-            Document(
-                seq_no=seq_no,
-                raw_text=str(text),
-                is_initiating=init,
-                campaign=campaign,
-            )
-        )
+        docs.append(doc)
     if not docs:
         raise CorpusFormatError(f"{path}: corpus file is empty")
     return docs

@@ -399,6 +399,20 @@ class TestErrors:
         assert cli("ingest", *argv, "--out", tmp_path / "x") == 2
         assert json.loads(capsys.readouterr().err)["path"] == str(missing)
 
+    @pytest.mark.parametrize("flag", ["--input", "--stopwords", "--out"])
+    def test_over_long_name_exit_2_names_path(self, tmp_path, capsys, flag):
+        # a 300-character component is over every common file system's 255
+        # limit; Path.is_file and Path.mkdir raise ENAMETOOLONG on it
+        long = tmp_path / ("n" * 300)
+        argv = {"--input": ["--input", long, "--out", tmp_path / "x"],
+                "--stopwords": ["--input", SYNTHETIC3, "--stopwords", long,
+                                "--out", tmp_path / "x"],
+                "--out": ["--input", SYNTHETIC3, "--out", long]}[flag]
+        assert cli("ingest", *argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["path"] == str(long)
+
     def test_drilldown_requires_campaign(self, tmp_path, capsys):
         code = cli("drilldown", "--input", SYNTHETIC3, "--out", tmp_path / "x")
         assert code == 2

@@ -4,7 +4,6 @@ import json
 import re
 import tempfile
 from collections import Counter
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +110,25 @@ class TestVocabulary:
             build_vocabulary([])
 
 
+_WORDS = ["amber", "birch", "cedar", "delta", "ember"]
+
+
+@st.composite
+def _threshold_docs(draw):
+    """Ordinary documents, labelled or not, and initiators of several
+    campaigns under gapped seq_nos; an initiator may use words no ordinary
+    document uses, and an empty text is dropped at any threshold."""
+    gaps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=12))
+    docs = []
+    for seq_no in np.cumsum(gaps).tolist():
+        initiating = draw(st.booleans())
+        campaign = draw(st.integers(0, 3) if initiating else st.none() | st.integers(0, 3))
+        words = _WORDS + ["pledge", "vow"] if initiating else _WORDS
+        text = " ".join(draw(st.lists(st.sampled_from(words), max_size=5)))
+        docs.append(Document(seq_no, text, initiating, campaign))
+    return docs
+
+
 class TestThreshold:
     def _docs(self):
         return [
@@ -179,6 +197,28 @@ class TestThreshold:
                 assert set(tdm.terms) == expected
                 compared += 1
         assert compared > 50  # most of the 100 cases reach the comparison
+
+    @given(docs=_threshold_docs(), thresholds=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    def test_row_annotations_match_bruteforce(self, docs, thresholds):
+        # per document: kept when it uses a term that meets both thresholds
+        # and some ordinary document uses, dropped (by seq_no) otherwise
+        tokens = [tokenize(d.raw_text, NO_STOPWORDS) for d in docs]
+        shared = threshold_filter_bruteforce(tokens, *thresholds)
+        shared &= {t for d, toks in zip(docs, tokens) if not d.is_initiating for t in toks}
+        kept = [d for d, toks in zip(docs, tokens) if shared & set(toks)]
+        vocab = build_vocabulary(docs, NO_STOPWORDS)
+        if all(d.is_initiating for d in kept):
+            with pytest.raises(AllDocumentsEmpty):
+                threshold_matrix(docs, vocab, *thresholds)
+            return
+        tdm = threshold_matrix(docs, vocab, *thresholds)
+        assert tdm.seq_nos.tolist() == [d.seq_no for d in kept]
+        assert tdm.row_supplementary.tolist() == [d.is_initiating for d in kept]
+        campaigns = [-1 if d.campaign is None else d.campaign for d in kept]
+        assert tdm.campaigns.tolist() == campaigns
+        assert tdm.campaign_ids == sorted({c for c in campaigns if c != -1})
+        assert tdm.dropped_docs == [d.seq_no for d in docs if d not in kept]
+        assert set(tdm.terms) == shared
 
     def test_order_independent_term_set(self):
         rows = synthetic_corpus_rows(docs_per_campaign=8)
@@ -279,16 +319,16 @@ class TestMergeInitiating:
             for k in range(max(size, 1)):
                 n = len(docs) + 1
                 docs.append(Document(n, f"text{n}", size > 0, campaign))
+        # an initiator whose predecessor in the output is an initiator of the
+        # same campaign joins it: the first seq_no, texts joined by one space
         expected = []
-        for (init, _), run in groupby(
-            docs, key=lambda d: (d.is_initiating, d.campaign if d.is_initiating else d.seq_no)
-        ):
-            run = list(run)
-            # a run of initiators pools into one: first seq_no, texts joined
-            if init and len(run) > 1:
-                texts = [d.raw_text for d in run]
-                run[0] = Document(run[0].seq_no, " ".join(texts), True, run[0].campaign)
-            expected.append(run[0])
+        for d in docs:
+            last = expected[-1] if expected else None
+            if d.is_initiating and last and last.is_initiating and last.campaign == d.campaign:
+                text = f"{last.raw_text} {d.raw_text}"
+                expected[-1] = Document(last.seq_no, text, True, d.campaign)
+            else:
+                expected.append(d)
         assert merge_adjacent_initiating(docs) == expected
 
 
@@ -322,9 +362,15 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError):
             load_corpus(path)
 
-    def test_initiating_requires_campaign(self):
+    def test_initiating_requires_campaign(self, tmp_path):
         with pytest.raises(CorpusFormatError):
             Document(1, "text", is_initiating=True, campaign=None)
+        # the loader's error names the record's line
+        path = tmp_path / "corpus.csv"
+        path.write_text("seq_no,text,is_initiating,campaign\n1,a b,0,\n2,c d,1,\n")
+        prefix = re.escape(f"{path}:3:")
+        with pytest.raises(CorpusFormatError, match=f"^{prefix} .*need a campaign id"):
+            load_corpus(path)
 
     @pytest.mark.parametrize(
         "value, expected",
