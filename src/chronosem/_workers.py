@@ -58,7 +58,7 @@ class _Pool:
 
     def __init__(self, fn: Callable, workers: int, ctx):
         self.fn = fn
-        self.conns, self.fds, self.procs = [], [], []
+        self.conns, self.procs = [], []
         self.sent: list[list] = []  # per worker, oldest first
         self.done: dict = {}
         for _ in range(workers):
@@ -68,7 +68,6 @@ class _Pool:
             proc.start()
             there.close()
             self.conns.append(here)
-            self.fds.append(here.fileno())
             self.procs.append(proc)
             self.sent.append([])
 
@@ -90,8 +89,8 @@ class _Pool:
 
     def _ready(self, timeout) -> list[int]:
         """The workers with a finished result, waiting up to ``timeout``."""
-        busy = [f for f, sent in zip(self.fds, self.sent) if sent]
-        return [self.fds.index(f) for f in select.select(busy, [], [], timeout)[0]]
+        busy = [c for c, sent in zip(self.conns, self.sent) if sent]
+        return [self.conns.index(c) for c in select.select(busy, [], [], timeout)[0]]
 
     def _top_up(self, guesses: Iterable) -> None:
         """Hand out the first guesses no worker holds, the least busy worker

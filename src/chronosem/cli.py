@@ -19,6 +19,7 @@ import errno
 import hashlib
 import itertools
 import json
+import operator
 import os
 import platform
 import sys
@@ -59,9 +60,9 @@ class PipelineConfig:
     stopwords: str | None = None
     min_global_freq: int = 5
     min_doc_count: int = 5
-    alpha: float = 0.15
-    n_permutations: int = 5000
-    rng_seed: int = 0
+    alpha: float = segmentation.PermTestConfig.alpha
+    n_permutations: int = segmentation.PermTestConfig.n_permutations
+    rng_seed: int = segmentation.PermTestConfig.rng_seed
     campaign: int | None = None
     top_tweets: int = 10
     top_terms: int = 15
@@ -333,10 +334,9 @@ class _Pipeline:
             dist = None
         report = impact.build_impact_report(self.tdm, self.model, dist)
         self._json("impact.json", report.to_dict())
-        rows = [("campaign", "distance_plane", "distance_full", "z_score",
-                 "two_sided_tail_percent", "percent_pairs_below")]
-        rows += [(c.campaign, c.distance_plane, c.distance_full, c.z_score,
-                  c.two_sided_tail_percent, c.percent_pairs_below) for c in report.campaigns]
+        cols = ("campaign", "distance_plane", "distance_full", "z_score",
+                "two_sided_tail_percent", "percent_pairs_below")
+        rows = [cols, *map(operator.attrgetter(*cols), report.campaigns)]
         self._csv("impact.csv", rows)
         self._csv("impact_curve.csv", [r[:3] for r in rows])
 
@@ -404,26 +404,29 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     common = argparse.ArgumentParser(add_help=False)
+    # PipelineConfig owns every default; set first, the arguments take them
+    common.set_defaults(**{f.name: f.default for f in dataclasses.fields(PipelineConfig)
+                           if f.default is not dataclasses.MISSING})
     common.add_argument("--input", required=True, help="corpus CSV or JSON-lines file")
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--stopwords", default=None, help="stopword file, one term per line")
-    common.add_argument("--min-freq", type=int, default=5, dest="min_global_freq",
-                        help="minimum global term frequency (default 5)")
-    common.add_argument("--min-docs", type=int, default=5, dest="min_doc_count",
-                        help="minimum number of documents per term (default 5)")
-    common.add_argument("--alpha", type=float, default=0.15,
-                        help="significance level for segment gating (default 0.15)")
-    common.add_argument("--permutations", type=int, default=5000, dest="n_permutations",
-                        help="Monte Carlo permutations per gate (default 5000)")
-    common.add_argument("--seed", type=int, default=0, dest="rng_seed",
-                        help="seed for all randomness (default 0)")
-    common.add_argument("--campaign", type=int, default=None,
-                        help="campaign id (required for drilldown)")
-    common.add_argument("--top-tweets", type=int, default=10, dest="top_tweets",
-                        help="documents to label in drilldown (default 10)")
-    common.add_argument("--top-terms", type=int, default=15, dest="top_terms",
-                        help="terms to label in drilldown (default 15)")
-    common.add_argument("--dims", choices=("full", "plane"), default="full",
+    common.add_argument("--stopwords", help="stopword file, one term per line")
+    common.add_argument("--min-freq", type=int, dest="min_global_freq",
+                        help="minimum global term frequency (default %(default)s)")
+    common.add_argument("--min-docs", type=int, dest="min_doc_count",
+                        help="minimum number of documents per term (default %(default)s)")
+    common.add_argument("--alpha", type=float,
+                        help="significance level for segment gating (default %(default)s)")
+    common.add_argument("--permutations", type=int, dest="n_permutations",
+                        help="Monte Carlo permutations per gate (default %(default)s)")
+    common.add_argument("--seed", type=int, dest="rng_seed",
+                        help="seed for all randomness (default %(default)s)")
+    common.add_argument("--campaign", type=int, help="campaign id (required for drilldown)")
+    common.add_argument("--top-tweets", type=int, dest="top_tweets",
+                        help="documents to label in drilldown (default %(default)s)")
+    common.add_argument("--top-terms", type=int, dest="top_terms",
+                        help="terms to label in drilldown (default %(default)s)")
+    # checked by _validate alone, so a bad value ends in the JSON line
+    common.add_argument("--dims", metavar="{full,plane}",
                         help="coordinate space for clustering/segmentation")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, help_text in SUBCOMMANDS.items():
@@ -432,11 +435,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
-    config = PipelineConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    args = vars(_build_parser().parse_args(argv))
+    subcommand = args.pop("subcommand")
+    config = PipelineConfig(**args)
     try:
-        paths = run(args.subcommand, config)
+        paths = run(subcommand, config)
     except Exception as exc:  # every failure ends in one JSON line, never a traceback
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConfigError) and ": " in str(exc):

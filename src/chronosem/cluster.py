@@ -244,12 +244,8 @@ def to_newick(dendro: Dendrogram) -> str:
         reps[node] = f"({reps.pop(m.left)}:{bl_left:.10g},{reps.pop(m.right)}:{bl_right:.10g})"
         height[node] = m.height
         node += 1
-    # run to completion leaves one representative; partial trees become a
-    # multifurcating root
-    parts = [reps[key] for key in sorted(reps)]
-    if len(parts) == 1:
-        return parts[0] + ";"
-    return "(" + ",".join(parts) + ");"
+    (root,) = reps.values()  # cluster() runs to completion: one root
+    return root + ";"
 
 
 def dendrogram_json_dict(dendro: Dendrogram) -> dict:

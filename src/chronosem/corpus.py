@@ -169,8 +169,8 @@ class TermDocMatrix:
 def threshold_matrix(
     docs: Sequence[Document],
     vocab: Vocabulary,
-    min_global_freq: int = 5,
-    min_doc_count: int = 5,
+    min_global_freq: int,
+    min_doc_count: int,
 ) -> TermDocMatrix:
     """Retain sufficiently shared terms and assemble the role-tagged matrix.
 

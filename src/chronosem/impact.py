@@ -189,8 +189,8 @@ class DrilldownResult:
 def drilldown(
     tdm: TermDocMatrix,
     campaign: int,
-    top_tweets: int = 10,
-    top_terms: int = 15,
+    top_tweets: int,
+    top_terms: int,
 ) -> DrilldownResult:
     """Fresh factor space for one campaign's documents.
 

@@ -54,29 +54,31 @@ class PermTestResult:
     degenerate: bool = False  # union too small to test; auto-fused
 
 
-@dataclass(frozen=True)
-class BoundaryTest:
-    """One gating decision between two adjacent groups."""
+@dataclass(frozen=True, kw_only=True)
+class BoundaryTest(PermTestResult):
+    """One gating decision: the test's outcome and the two groups it split."""
 
     left_span: tuple[int, int]  # first/last ids of the left group
     right_span: tuple[int, int]
-    boundary_after: int  # id of the last left-group member
-    h: int
-    p: float
-    decision: str
-    degenerate: bool
+
+    @property
+    def boundary_after(self) -> int:  # id of the last left-group member
+        return self.left_span[1]
 
 
 @dataclass
 class SegmentationResult:
     segments: list[list[int]]  # member ids, chronological
-    blocked: list[BoundaryTest]
     tests: list[BoundaryTest] = field(repr=False, default_factory=list)
     config: PermTestConfig = field(default_factory=PermTestConfig)
 
     @property
     def n_segments(self) -> int:
         return len(self.segments)
+
+    @property
+    def blocked(self) -> list[BoundaryTest]:
+        return [t for t in self.tests if t.decision == BLOCK]
 
 
 # no meaningful split of fewer than 3 objects: fuse, flagged
@@ -218,13 +220,9 @@ def segment(
         )
         tests.append(
             BoundaryTest(
+                **vars(res),
                 left_span=(ids[left[0]], ids[left[-1]]),
                 right_span=(ids[right[0]], ids[right[-1]]),
-                boundary_after=ids[left[-1]],
-                h=res.h,
-                p=res.p,
-                decision=res.decision,
-                degenerate=res.degenerate,
             )
         )
         return res.decision == FUSE
@@ -233,7 +231,6 @@ def segment(
         _, _, bounds = _agglomerate(block, n, gate)
     return SegmentationResult(
         segments=[ids[a:b] for a, b in zip(bounds, bounds[1:])],
-        blocked=[t for t in tests if t.decision == BLOCK],
         tests=tests,
         config=config,
     )

@@ -28,6 +28,7 @@ from chronosem.cli import (
     SUBCOMMANDS,
     UNEXPECTED_ERROR_EXIT,
     PipelineConfig,
+    _build_parser,
     _format_stripe,
     _Pipeline,
     main,
@@ -317,6 +318,31 @@ class TestSubcommands:
             _, plane, full = ln.split(",")
             assert float(plane) <= float(full)
 
+    def test_parser_defaults_are_the_configs(self, capsys):
+        # PipelineConfig owns every flag's default, PermTestConfig the gate's
+        args = vars(_build_parser().parse_args(["all", "--input", "a", "--out", "b"]))
+        assert args.pop("subcommand") == "all"
+        config = PipelineConfig(**args)
+        assert config == PipelineConfig(input="a", out="b")
+        gate = segmentation.PermTestConfig()
+        assert (config.alpha, config.n_permutations, config.rng_seed) == (
+            gate.alpha, gate.n_permutations, gate.rng_seed)
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["all", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "(default 0.15)" in help_text and "(default 5000)" in help_text
+
+    def test_impact_csv_columns_match_the_report(self, tmp_path):
+        out = tmp_path / "imp"
+        assert cli("impact", "--input", SYNTHETIC3, "--out", out) == 0
+        with open(out / "impact.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["campaign", "distance_plane", "distance_full", "z_score",
+                          "two_sided_tail_percent", "percent_pairs_below"]
+        campaigns = json.loads((out / "impact.json").read_text())["campaigns"]
+        assert [list(map(float, row)) for row in rows] == [
+            [float(c[k]) for k in header] for c in campaigns]
+
     def test_drilldown_artifacts(self, tmp_path):
         out = tmp_path / "dd"
         assert cli("drilldown", "--input", SYNTHETIC3, "--out", out,
@@ -441,10 +467,14 @@ class TestErrors:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "AllDocumentsEmpty"
 
-    def test_bad_alpha_rejected(self, tmp_path, capsys):
-        code = cli("segment", "--input", SYNTHETIC3, "--out", tmp_path / "x",
-                   "--alpha", "1.5")
+    @pytest.mark.parametrize("flag, value", [("--alpha", "1.5"), ("--dims", "bogus")],
+                             ids=["alpha", "dims"])
+    def test_bad_alpha_rejected(self, tmp_path, capsys, flag, value):
+        code = cli("segment", "--input", SYNTHETIC3, "--out", tmp_path / "x", flag, value)
         assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
 
     def test_numeric_error_exit_4(self, tmp_path, capsys):
         # identical documents give a zero-inertia model: no factor spread
@@ -811,6 +841,27 @@ class TestForkPolicy:
             other.join()
         assert code == 0
         assert artifact_bytes(tmp_path / "threaded") == artifact_bytes(tmp_path / "inline")
+
+    def test_each_guessed_key_is_computed_once_by_a_worker(self, monkeypatch):
+        # keys asked for in the order guessed: the caller computes none of
+        # them itself, none is sent twice and no worker holds over _DEPTH
+        self._cores(monkeypatch, 2)
+        sent, send = [], _workers._Pool._send
+
+        def counted(pool, w, key):
+            send(pool, w, key)
+            sent.append(key)
+            assert len(pool.sent[w]) <= _workers._DEPTH
+
+        monkeypatch.setattr(_workers._Pool, "_send", counted)
+        n, results = 40, []
+        with _workers.solver(lambda key: (os.getpid(), key)) as solve:
+            for i in range(n):
+                time.sleep(0.003)  # the workers run ahead of the caller
+                results.append(solve(i, lambda: range(i, n)))
+        assert [key for _, key in results] == list(range(n))
+        assert os.getpid() not in {pid for pid, _ in results}
+        assert sorted(sent) == list(range(n))
 
     def test_formatting_workers_exit_when_the_cli_dies(self, tmp_path):
         # the worker processes inherit the write end of a pipe; it reads end

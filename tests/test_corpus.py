@@ -64,6 +64,8 @@ class TestTokenize:
         assert tokenize("I've", NO_STOPWORDS) == ["ve"]
         assert tokenize("I've") == []  # "ve" is a default stopword
         assert tokenize("isn't wouldn't", NO_STOPWORDS) == ["isn", "wouldn"]
+        # the rump "ll" falls under any stopword list
+        assert tokenize("we'll", NO_STOPWORDS) == ["we"]
 
     def test_lowercasing_and_length_rule(self):
         assert tokenize("Gr8ly DMU a I ox", NO_STOPWORDS) == ["gr", "ly", "dmu", "ox"]

@@ -243,7 +243,7 @@ class TestImpactEdgeCorpus:
 class TestDrilldown:
     def test_defaults_and_initiator_included(self):
         tdm, _ = fitted_corpus()
-        result = drilldown(tdm, 1)
+        result = drilldown(tdm, 1, top_tweets=10, top_terms=15)
         n_docs_campaign_1 = int((tdm.campaigns == 1).sum())
         assert len(result.seq_nos) == n_docs_campaign_1  # initiating included
         assert result.initiating_seq_nos == [1]
@@ -263,7 +263,7 @@ class TestDrilldown:
         ]
         docs = docs_from_rows(rows)
         tdm = threshold_matrix(docs, build_vocabulary(docs), 3, 3)
-        result = drilldown(tdm, 4)
+        result = drilldown(tdm, 4, top_tweets=10, top_terms=15)
         assert result.model.n_factors <= 1
         assert len(result.top_tweets) <= 2
 
@@ -277,7 +277,7 @@ class TestDrilldown:
             rows.append((s, text, 0, 9))
         docs = docs_from_rows(rows)
         tdm = threshold_matrix(docs, build_vocabulary(docs), 3, 3)
-        result = drilldown(tdm, 9)
+        result = drilldown(tdm, 9, top_tweets=10, top_terms=15)
         assert result.top_terms[0]["term"] == "zebra"
 
     def test_tied_scores_keep_document_and_term_order(self):
@@ -303,7 +303,7 @@ class TestDrilldown:
     def test_unknown_campaign(self):
         tdm, _ = fitted_corpus()
         with pytest.raises(EmptyCampaign):
-            drilldown(tdm, 12345)
+            drilldown(tdm, 12345, top_tweets=10, top_terms=15)
 
     def test_unlabelled_documents_are_no_campaign(self):
         rows = [
@@ -314,4 +314,4 @@ class TestDrilldown:
         tdm = threshold_matrix(docs, build_vocabulary(docs), 5, 5)
         assert (tdm.campaigns == -1).any()
         with pytest.raises(EmptyCampaign):
-            drilldown(tdm, -1)
+            drilldown(tdm, -1, top_tweets=10, top_terms=15)

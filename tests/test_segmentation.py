@@ -457,7 +457,7 @@ class TestSegmentCentroids:
         for s in sizes:
             segments.append(list(range(start, start + s)))
             start += s
-        res = SegmentationResult(segments=segments, blocked=[], tests=[])
+        res = SegmentationResult(segments=segments, tests=[])
         fmap = segment_centroids_as_supplementary(res, counts)
         assert int((~fmap.supplementary).sum()) == 36
         assert int(fmap.supplementary.sum()) == 4
@@ -468,7 +468,7 @@ class TestSegmentCentroids:
     def test_single_segment_centroid_is_origin(self):
         rng = np.random.default_rng(4)
         counts = rng.integers(1, 4, size=(6, 8))
-        res = SegmentationResult(segments=[list(range(6))], blocked=[], tests=[])
+        res = SegmentationResult(segments=[list(range(6))], tests=[])
         fmap = segment_centroids_as_supplementary(res, counts)
         assert fmap.coords.shape[0] == 1
         assert float(np.linalg.norm(fmap.coords)) == 0.0
@@ -483,7 +483,7 @@ class TestSegmentCentroids:
         bounds = np.cumsum([0] + sizes)
         res = SegmentationResult(
             segments=[list(range(a, b)) for a, b in zip(bounds[:-1], bounds[1:])],
-            blocked=[], tests=[],
+            tests=[],
         )
         dense_sums = np.array(
             [np.asarray(counts, dtype=float)[a:b].sum(axis=0)
