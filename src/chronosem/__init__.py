@@ -14,88 +14,18 @@ if "numpy" not in sys.modules:
     for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_name] = "1"
 
-from .ca import (
-    CAModel,
-    ProbabilityTable,
-    chi2_distance,
-    decompose,
-    fit_ca,
-    normalize,
-    project_supplementary_row,
-    row_contributions,
-    total_inertia,
-)
-from .cluster import Dendrogram, cluster, to_newick
-from .corpus import (
-    DEFAULT_STOPWORDS,
-    Document,
-    TermDocMatrix,
-    Vocabulary,
-    build_vocabulary,
-    load_corpus,
-    load_stopwords,
-    merge_adjacent_initiating,
-    threshold_matrix,
-    tokenize,
-)
-from .impact import (
-    CampaignImpact,
-    DrilldownResult,
-    ImpactReport,
-    PairwiseStats,
-    build_impact_report,
-    drilldown,
-    pairwise_distance_stats,
-    significance,
-)
-from .segmentation import (
-    BoundaryTest,
-    PermTestConfig,
-    PermTestResult,
-    SegmentationResult,
-    SegmentFactorMap,
-    perm_test,
-    segment,
-    segment_centroids_as_supplementary,
-)
+# bind the modules first: `from .cluster import *` rebinds `cluster` to the
+# function, and the tracer finds the module in sys.modules
+from . import ca, cluster as _cluster, corpus, impact, segmentation
+from .ca import *
+from .cluster import *
+from .corpus import *
+from .impact import *
+from .segmentation import *
 
-__all__ = [
-    "CAModel",
-    "ProbabilityTable",
-    "chi2_distance",
-    "decompose",
-    "fit_ca",
-    "normalize",
-    "project_supplementary_row",
-    "row_contributions",
-    "total_inertia",
-    "Dendrogram",
-    "cluster",
-    "to_newick",
-    "DEFAULT_STOPWORDS",
-    "Document",
-    "TermDocMatrix",
-    "Vocabulary",
-    "build_vocabulary",
-    "load_corpus",
-    "load_stopwords",
-    "merge_adjacent_initiating",
-    "threshold_matrix",
-    "tokenize",
-    "CampaignImpact",
-    "DrilldownResult",
-    "ImpactReport",
-    "PairwiseStats",
-    "build_impact_report",
-    "drilldown",
-    "pairwise_distance_stats",
-    "significance",
-    "BoundaryTest",
-    "PermTestConfig",
-    "PermTestResult",
-    "SegmentationResult",
-    "SegmentFactorMap",
-    "perm_test",
-    "segment",
-    "segment_centroids_as_supplementary",
-]
+__all__ = []
+__all__ += ca.__all__
+__all__ += _cluster.__all__
+__all__ += corpus.__all__
+__all__ += impact.__all__
+__all__ += segmentation.__all__

@@ -16,6 +16,18 @@ import scipy.sparse as sp
 
 from .errors import ConvergenceError, EmptyProfile, ZeroMarginError
 
+__all__ = [
+    "CAModel",
+    "ProbabilityTable",
+    "chi2_distance",
+    "decompose",
+    "fit_ca",
+    "normalize",
+    "project_supplementary_row",
+    "row_contributions",
+    "total_inertia",
+]
+
 # Fraction of the total inertia below which a singular direction is treated
 # as the structural null direction rather than a factor.
 _TOL_RATIO = 1e-12

@@ -72,9 +72,9 @@ class PipelineConfig:
 def _validate(config: PipelineConfig, subcommand: str):
     # os.path.isfile, unlike Path.is_file, is False for a name too long to exist
     if not os.path.isfile(config.input):
-        raise ConfigError(f"input is not an existing file: {config.input}")
+        raise ConfigError("input is not an existing file", config.input)
     if config.stopwords is not None and not os.path.isfile(config.stopwords):
-        raise ConfigError(f"stopword list is not an existing file: {config.stopwords}")
+        raise ConfigError("stopword list is not an existing file", config.stopwords)
     if config.min_global_freq < 1 or config.min_doc_count < 1:
         raise ConfigError("thresholds --min-freq and --min-docs must be >= 1")
     if not 0.0 < config.alpha < 1.0:
@@ -192,7 +192,7 @@ class _Pipeline:
             # mistake; any other refusal (permissions, say) is an I/O error
             if exc.errno not in (errno.EEXIST, errno.ENOTDIR, errno.ENAMETOOLONG):
                 raise
-            raise ConfigError(f"output is not a directory: {config.out}") from exc
+            raise ConfigError("output is not a directory", config.out) from exc
         self.artifacts: list[Path] = []
 
     # -- artifacts -------------------------------------------------------
@@ -442,8 +442,8 @@ def main(argv: list[str] | None = None) -> int:
         paths = run(subcommand, config)
     except Exception as exc:  # every failure ends in one JSON line, never a traceback
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, ConfigError) and ": " in str(exc):
-            payload["path"] = str(exc).split(": ", 1)[1]
+        if isinstance(exc, ConfigError) and exc.path is not None:
+            payload["path"] = exc.path
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return exc.exit_code if isinstance(exc, ChronosemError) else UNEXPECTED_ERROR_EXIT
     for path in paths:

@@ -20,6 +20,8 @@ from scipy.spatial.distance import cdist
 from . import _workers
 from .errors import DimensionMismatch
 
+__all__ = ["Dendrogram", "cluster", "to_newick"]
+
 
 @dataclass(frozen=True)
 class Merge:
@@ -138,7 +140,7 @@ def _upcoming(heights: np.ndarray, pos: int, bounds: list, k: int) -> list:
 def _agglomerate(
     block: Callable[[slice, slice], np.ndarray],
     n: int,
-    gate: Callable[[range, range, Callable[[int], list]], bool] | None = None,
+    gate: Callable[[tuple[int, int, int], Callable[[int], list]], bool] | None = None,
 ) -> tuple[list[Merge], dict, list[int]]:
     """Constrained complete-link agglomeration of n points in sequence.
 
@@ -149,8 +151,9 @@ def _agglomerate(
     Clusters are intervals over 0..n-1.  Each step proposes the adjacent
     pair with the lowest complete-link dissimilarity among the boundaries
     not yet blocked; ``argmin`` returns the first minimum, so ties break
-    toward the earliest pair.  ``gate(left, right, upcoming)`` receives the
-    two member ranges and returns True to merge or False to block that
+    toward the earliest pair.  ``gate(span, upcoming)`` receives the
+    proposal's ``(start, split, stop)`` (the groups ``start..split-1`` and
+    ``split..stop-1``) and returns True to merge or False to block that
     boundary for good; without a gate every proposal merges.
     ``upcoming(k)`` lists the k proposals most likely to follow (see
     :func:`_upcoming`), so a gate may test them ahead.  Stops when one
@@ -172,18 +175,13 @@ def _agglomerate(
         pos = int(np.argmin(links))
         if links[pos] == np.inf:
             break
-        left = range(bounds[pos], bounds[pos + 1])
-        right = range(bounds[pos + 1], bounds[pos + 2])
-        if gate is not None and not gate(
-            left, right, lambda k: _upcoming(links, pos, bounds, k)
-        ):
+        start, _, stop = span = tuple(bounds[pos : pos + 3])
+        if gate is not None and not gate(span, lambda k: _upcoming(links, pos, bounds, k)):
             links[pos] = np.inf
             continue
-        merges.append(
-            Merge(ids[pos], ids[pos + 1], float(links[pos]), len(left) + len(right))
-        )
+        merges.append(Merge(ids[pos], ids[pos + 1], float(links[pos]), stop - start))
         ids[pos] = n + len(merges) - 1
-        intervals[ids[pos]] = (left.start, right.stop - 1)
+        intervals[ids[pos]] = (start, stop - 1)
         del bounds[pos + 1], ids[pos + 1]
         links = np.delete(links, pos)
         for k in (pos - 1, pos):  # the two links the merge changed

@@ -25,6 +25,19 @@ import scipy.sparse as sp
 
 from .errors import AllDocumentsEmpty, CorpusFormatError
 
+__all__ = [
+    "DEFAULT_STOPWORDS",
+    "Document",
+    "TermDocMatrix",
+    "Vocabulary",
+    "build_vocabulary",
+    "load_corpus",
+    "load_stopwords",
+    "merge_adjacent_initiating",
+    "threshold_matrix",
+    "tokenize",
+]
+
 # Function-word and rump-token list used when no stopword file is supplied.
 # Deliberately small: function words are kept unless they are pure noise,
 # because they can be emotionally indicative in microblog text.

@@ -12,9 +12,14 @@ class ChronosemError(Exception):
 
 
 class ConfigError(ChronosemError):
-    """Invalid configuration or missing input path."""
+    """Invalid configuration or missing input path; ``path`` is the path
+    the error names, if it names one, and ends its message."""
 
     exit_code = 2
+
+    def __init__(self, message: str, path: str | None = None):
+        super().__init__(message if path is None else f"{message}: {path}")
+        self.path = path
 
 
 class CorpusFormatError(ChronosemError):

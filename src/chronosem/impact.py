@@ -20,6 +20,17 @@ from .cluster import _condensed, pdist
 from .corpus import TermDocMatrix
 from .errors import DegenerateSpread, EmptyCampaign
 
+__all__ = [
+    "CampaignImpact",
+    "DrilldownResult",
+    "ImpactReport",
+    "PairwiseStats",
+    "build_impact_report",
+    "drilldown",
+    "pairwise_distance_stats",
+    "significance",
+]
+
 _COUNT_BLOCK = 1 << 16  # distances sorted at a time by percents_below
 
 

@@ -25,6 +25,17 @@ from ._workers import solver
 from .cluster import _agglomerate, _distance_blocks, _validate_points, pdist
 from .errors import DimensionMismatch
 
+__all__ = [
+    "BoundaryTest",
+    "PermTestConfig",
+    "PermTestResult",
+    "SegmentationResult",
+    "SegmentFactorMap",
+    "perm_test",
+    "segment",
+    "segment_centroids_as_supplementary",
+]
+
 FUSE = "fuse"
 BLOCK = "block"
 
@@ -207,22 +218,23 @@ def segment(
     block = _distance_blocks(pts)
     tests: list[BoundaryTest] = []
 
-    def gate(left: range, right: range, upcoming) -> bool:
+    def gate(span: tuple[int, int, int], upcoming) -> bool:
         t = len(tests)
+        start, split, stop = span
         res = solve(
-            (t, left.start, right.start, right.stop),
+            (t, *span),
             # degenerate unions are cheaper to compute inline
             lambda: [
-                (u, *span)
-                for u, span in enumerate(upcoming(_LOOKAHEAD), start=t + 1)
-                if span[2] - span[0] >= 3
+                (u, *ahead)
+                for u, ahead in enumerate(upcoming(_LOOKAHEAD), start=t + 1)
+                if ahead[2] - ahead[0] >= 3
             ],
         )
         tests.append(
             BoundaryTest(
                 **vars(res),
-                left_span=(ids[left[0]], ids[left[-1]]),
-                right_span=(ids[right[0]], ids[right[-1]]),
+                left_span=(ids[start], ids[split - 1]),
+                right_span=(ids[split], ids[stop - 1]),
             )
         )
         return res.decision == FUSE

@@ -439,6 +439,13 @@ class TestErrors:
         assert err["error"] == "ConfigError"
         assert err["path"] == str(long)
 
+    def test_error_without_a_path_has_no_path_key(self, tmp_path, capsys):
+        # the message holds ": " but names no path
+        assert cli("all", "--input", SYNTHETIC3, "--out", tmp_path / "x", "--dims", "a: b") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "path" not in err
+
     def test_drilldown_requires_campaign(self, tmp_path, capsys):
         code = cli("drilldown", "--input", SYNTHETIC3, "--out", tmp_path / "x")
         assert code == 2

@@ -79,6 +79,14 @@ class TestCluster:
         assert dendro.intervals[dendro.merges[0].left] == (0, 0)
         assert dendro.intervals[dendro.merges[0].right] == (1, 1)
 
+    def test_merge_size_counts_both_clusters(self):
+        dendro = cluster(np.random.default_rng(3).standard_normal((40, 3)))
+        sizes = [1] * dendro.n_leaves
+        for m in dendro.merges:
+            sizes.append(sizes[m.left] + sizes[m.right])
+            assert m.size == sizes[-1]
+        assert sizes[-1] == dendro.n_leaves
+
     def test_reads_condensed_distances_as_the_square(self):
         pts = np.random.default_rng(7).standard_normal((150, 4))
         square = squareform(pdist(pts))
