@@ -9,6 +9,7 @@ afterwards through the transition formula.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,8 +192,14 @@ def fit_ca(counts) -> CAModel:
     return decompose(normalize(counts))
 
 
-def _contributions(masses: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    return masses[:, None] * sq  # sq: the squared coordinates
+def _contributions(masses: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    return masses[:, None] * coords**2
+
+
+def _cos2(masses: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    sq = coords**2
+    denom = sq.sum(axis=1, keepdims=True)
+    return np.divide(sq, denom, out=sq, where=denom > 0)  # a zero row stays zero
 
 
 def row_contributions(model: CAModel) -> np.ndarray:
@@ -200,7 +207,7 @@ def row_contributions(model: CAModel) -> np.ndarray:
 
     Columns sum to the corresponding eigenvalue.
     """
-    return _contributions(model.row_masses, model.row_coords**2)
+    return _contributions(model.row_masses, model.row_coords)
 
 
 def project_supplementary_row(model: CAModel, profile) -> np.ndarray:
@@ -226,18 +233,34 @@ def project_supplementary_row(model: CAModel, profile) -> np.ndarray:
     return (w / total @ model.col_coords) / np.sqrt(model.eigenvalues)
 
 
+@dataclass(frozen=True)
+class _RowBlocks:
+    """The table ``form(masses, coords)``, formed for the rows sliced."""
+
+    form: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    masses: np.ndarray
+    coords: np.ndarray
+    ndim, dtype = 2, np.dtype(float)
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        a, b, _ = rows.indices(len(self))
+        # numpy sums a lone row pairwise but a column-major table's rows one
+        # column at a time, so a lone row is formed with a neighbour
+        lo = min(a, max(len(self) - 2, 0))
+        window = slice(lo, max(b, lo + 2))
+        return self.form(self.masses[window], self.coords[window])[a - lo : b - lo]
+
+
 def _cloud(ids: list | None, masses: np.ndarray, coords: np.ndarray) -> dict:
-    sq = coords**2
-    contributions = _contributions(masses, sq)
-    denom = sq.sum(axis=1, keepdims=True)
-    # cos2 in sq's own buffer; a row of exact zeros keeps its zeros
-    np.divide(sq, denom, out=sq, where=denom > 0)
     return {
         "ids": list(ids) if ids is not None else list(range(len(masses))),
         "masses": masses,
         "coords": coords,
-        "contributions": contributions,
-        "cos2": sq,
+        "contributions": _RowBlocks(_contributions, masses, coords),
+        "cos2": _RowBlocks(_cos2, masses, coords),
     }
 
 
@@ -249,11 +272,12 @@ def model_export_dict(
     """Summary for ``model.json``: eigenvalues, inertia shares, coordinates,
     contributions and squared cosines for rows and columns.
 
-    Numeric leaves are ndarrays, so a writer can turn one leaf at a time
-    into JSON (``.tolist()`` then ``json.dumps``); the rest is JSON-ready.
-    Each cloud's contributions and cos² come from one squared table, whose
-    buffer becomes the cos² leaf, so the export holds nothing beyond what
-    it returns.
+    Each cloud's ``contributions`` (``masses[:, None] * coords**2``) and
+    ``cos2`` (each squared row over its sum; a zero row stays zero) form
+    only the rows sliced from them (``leaf[a:b]``, bit for bit the whole
+    table's rows; ``leaf[:]`` is the table), so a writer forms one block
+    at a time and the export holds no table.  The other numeric leaves are
+    ndarrays and the rest is JSON-ready.
     """
     pct = model.percent_inertia
     return {

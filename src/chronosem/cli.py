@@ -51,6 +51,8 @@ CHAIN = ("ingest", "ca", "cluster", "segment", "impact")
 # exit code of a failure that is not a ChronosemError (a bug, a dead
 # worker process, an I/O error while writing)
 UNEXPECTED_ERROR_EXIT = 5
+# 200 times the protocol's 5000; a gate's label array grows with it
+MAX_PERMUTATIONS = 1_000_000
 
 
 @dataclass
@@ -79,8 +81,8 @@ def _validate(config: PipelineConfig, subcommand: str):
         raise ConfigError("thresholds --min-freq and --min-docs must be >= 1")
     if not 0.0 < config.alpha < 1.0:
         raise ConfigError(f"--alpha {config.alpha} outside (0, 1)")
-    if config.n_permutations < 1:
-        raise ConfigError("--permutations must be >= 1")
+    if not 1 <= config.n_permutations <= MAX_PERMUTATIONS:
+        raise ConfigError(f"--permutations must be between 1 and {MAX_PERMUTATIONS}")
     if config.rng_seed < 0:
         raise ConfigError("--seed must be nonnegative")
     if config.top_tweets < 1 or config.top_terms < 1:
@@ -124,14 +126,15 @@ def _format_stripe(block: np.ndarray, ids) -> tuple[str, str]:
 
 def _pieces(obj, path: tuple = ()):
     """``json.dumps(obj, sort_keys=True)`` as a sequence of strings, with a
-    ``(key path, array)`` pair in place of each 2-D float array."""
+    ``(key path, table)`` pair in place of each 2-D float table (an ndarray,
+    or a leaf that forms the rows sliced from it)."""
     if isinstance(obj, dict):
         yield "{"
         for k, key in enumerate(sorted(obj)):
             yield f"{', ' if k else ''}{json.dumps(key)}: "
             yield from _pieces(obj[key], path + (key,))
         yield "}"
-    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
+    elif getattr(obj, "ndim", None) == 2 and obj.dtype.kind == "f":
         yield path, obj
     else:
         yield json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
@@ -140,8 +143,8 @@ def _pieces(obj, path: tuple = ()):
 def _dump_leaves(fh, obj, csvs=None) -> None:
     """Write ``json.dumps(obj, sort_keys=True)`` to ``fh`` one leaf at a time.
 
-    Dicts are written key by key in sorted order.  Every 2-D float array is
-    split into stripes of ``_STRIPE_ROWS`` rows, formatted by
+    Dicts are written key by key in sorted order.  Every 2-D float table is
+    sliced into stripes of ``_STRIPE_ROWS`` rows, formed and formatted by
     :func:`_format_stripe` ahead of the writer on the run's worker pool
     (see :func:`chronosem._workers.solver`; ``repr`` holds the interpreter
     lock, so threads would not run it in parallel), and each stripe is
@@ -154,16 +157,18 @@ def _dump_leaves(fh, obj, csvs=None) -> None:
     csvs = csvs or {}
     pieces = list(_pieces(obj))
     stripes = [
-        (
-            table[a : a + _STRIPE_ROWS],
-            csvs[path][1][a : a + _STRIPE_ROWS] if path in csvs else None,
-        )
+        (table, a, csvs[path][1][a : a + _STRIPE_ROWS] if path in csvs else None)
         for path, table in (p for p in pieces if isinstance(p, tuple))
         for a in range(0, len(table), _STRIPE_ROWS)
     ]
     n = len(stripes)
+
+    def format_stripe(i: int) -> tuple[str, str]:
+        table, a, ids = stripes[i]
+        return _format_stripe(table[a : a + _STRIPE_ROWS], ids)
+
     # the workers fork after the stripes exist, so only indices cross the pipes
-    with solver(lambda i: _format_stripe(*stripes[i])) as solve:
+    with solver(format_stripe) as solve:
         results = (solve(i, lambda: range(i, n)) for i in range(n))
         for piece in pieces:
             if isinstance(piece, str):

@@ -167,3 +167,16 @@ def threshold_filter_bruteforce(token_lists, min_global, min_docs):
         if gf >= min_global and dc >= min_docs:
             kept.add(t)
     return kept
+
+
+def export_tables(masses, coords):
+    """A cloud's contributions and cos² tables, each formed whole: masses ×
+    coords², and each squared row over its sum, an all-zero row kept as
+    zeros.  Whole-table numpy operations, so their bits are the ones
+    ``model.json`` must hold at any stripe size."""
+    sq = np.asarray(coords, dtype=float) ** 2
+    denom = sq.sum(axis=1, keepdims=True)
+    cos2 = np.zeros_like(sq)
+    nz = denom[:, 0] > 0
+    cos2[nz] = sq[nz] / denom[nz]
+    return np.asarray(masses, dtype=float)[:, None] * sq, cos2

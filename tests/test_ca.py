@@ -24,6 +24,7 @@ from helpers import docs_from_rows, random_count_table, synthetic_corpus_rows
 from oracles import (
     chi2_distance_direct,
     eigenvalues_bruteforce,
+    export_tables,
     inertia_col_cloud,
     inertia_row_cloud,
     inertia_via_chi2_statistic,
@@ -287,7 +288,7 @@ class TestContributions:
             model = fit_ca(random_count_table(rng))
             ctr = row_contributions(model)
             assert np.allclose(ctr.sum(axis=0), model.eigenvalues, atol=1e-9)
-            cc = model_export_dict(model)["cols"]["contributions"]
+            cc = model_export_dict(model)["cols"]["contributions"][:]
             assert np.allclose(cc.sum(axis=0), model.eigenvalues, atol=1e-9)
 
     def test_dominant_row_tops_factor_one(self):
@@ -305,7 +306,7 @@ class TestContributions:
         rng = np.random.default_rng(9)
         model = fit_ca(random_count_table(rng))
         export = model_export_dict(model)
-        ctr = np.array(export["rows"]["contributions"])
+        ctr = export["rows"]["contributions"][:]
         pct = 100.0 * ctr / np.array(export["eigenvalues"])
         assert np.allclose(pct.sum(axis=0), 100.0, atol=1e-9)
         for s, disp in enumerate(export["percent_inertia_display"]):
@@ -315,13 +316,13 @@ class TestContributions:
 class TestCorrelations:
     def test_single_factor_full_correlation(self):
         model = decompose(normalize(DIAG))
-        assert np.allclose(model_export_dict(model)["rows"]["cos2"], 1.0)
+        assert np.allclose(model_export_dict(model)["rows"]["cos2"][:], 1.0)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             model = fit_ca(random_count_table(rng))
-            sums = model_export_dict(model)["rows"]["cos2"].sum(axis=1)
+            sums = model_export_dict(model)["rows"]["cos2"][:].sum(axis=1)
             assert np.allclose(sums, 1.0, atol=1e-9)
 
     def test_axis_aligned_point(self):
@@ -330,7 +331,7 @@ class TestCorrelations:
         counts = np.array([[6, 1, 1], [1, 5, 1], [1, 1, 5], [2, 3, 3]])
         model = fit_ca(counts)
         assert model.n_factors == 2
-        cos2 = model_export_dict(model)["rows"]["cos2"]
+        cos2 = model_export_dict(model)["rows"]["cos2"][:]
         for i in (0, 3):
             assert sorted(cos2[i]) == pytest.approx([0.0, 1.0], abs=1e-9)
 
@@ -355,17 +356,26 @@ def _zero_row_model():
     return _coords_model(rows, rng.normal(size=(4, 3)), rng)
 
 
+def _f_order_model():
+    """Column-major coordinates on twelve factors, as ``decompose`` gives the
+    columns, and 65 rows, so 64-row stripes leave one row over."""
+    rng = np.random.default_rng(29)
+    return _coords_model(np.asfortranarray(rng.normal(size=(65, 12))),
+                         np.asfortranarray(rng.normal(size=(7, 12))), rng)
+
+
 class TestExportTables:
     @pytest.mark.parametrize(
         "make_model",
         [lambda seed=seed: fit_ca(random_count_table(np.random.default_rng(seed)))
          for seed in range(40, 60)]
-        + [_zero_row_model, lambda: fit_ca(np.outer([1, 2, 3], [2, 1, 4]))],
-        ids=[f"random{seed}" for seed in range(40, 60)] + ["zero_row", "no_factor"],
+        + [_zero_row_model, _f_order_model, lambda: fit_ca(np.outer([1, 2, 3], [2, 1, 4]))],
+        ids=[f"random{seed}" for seed in range(40, 60)] + ["zero_row", "f_order", "no_factor"],
     )
     def test_tables_equal_the_separate_formulas(self, make_model):
         # contributions m_i F_s(i)^2, and cos2 with zeros where a row's
-        # squared distance to the origin is 0; a 0/0 raises here
+        # squared distance to the origin is 0; a 0/0 raises here.  Any
+        # split into row blocks gives the whole tables' bytes.
         with np.errstate(all="raise"):
             model = make_model()
             export = model_export_dict(model)
@@ -373,34 +383,31 @@ class TestExportTables:
                 ("rows", model.row_masses, model.row_coords),
                 ("cols", model.col_masses, model.col_coords),
             ):
-                sq = coords**2
-                denom = sq.sum(axis=1, keepdims=True)
-                cos2 = np.zeros_like(sq)
-                nz = denom[:, 0] > 0
-                cos2[nz] = sq[nz] / denom[nz]
-                for got, want in ((export[cloud]["contributions"], masses[:, None] * coords**2),
-                                  (export[cloud]["cos2"], cos2)):
-                    assert (got.dtype, got.shape, got.tobytes()) == (
-                        want.dtype, want.shape, want.tobytes())
+                wants = export_tables(masses, coords)
+                for key, want in zip(("contributions", "cos2"), wants):
+                    leaf = export[cloud][key]
+                    for size in (1, 2, 3, 64, len(coords)):
+                        got = np.concatenate(
+                            [leaf[a : a + size] for a in range(0, len(coords), size)])
+                        assert (got.dtype, got.shape, got.tobytes()) == (
+                            want.dtype, want.shape, want.tobytes())
         if model.n_factors == 0:
-            assert export["rows"]["cos2"].shape == (3, 0)
+            assert export["rows"]["cos2"][:].shape == (3, 0)
 
     # the 1k corpus's shapes, 980 rows and 348 columns on 346 factors; and many
-    # documents over few terms, where one spare row-cloud table exceeds the bound
+    # documents over few terms
     @pytest.mark.parametrize("n, p, s", [(980, 348, 346), (2940, 101, 100)],
                              ids=["corpus_1k", "few_terms"])
-    def test_export_holds_only_its_tables(self, n, p, s):
+    def test_export_holds_no_table(self, n, p, s):
         rng = np.random.default_rng(28)
         model = _coords_model(rng.normal(size=(n, s)), rng.normal(size=(p, s)), rng)
         tracemalloc.start()
         try:
-            export = model_export_dict(model)
+            model_export_dict(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tables = sum(export[c][k].nbytes for c in ("rows", "cols")
-                     for k in ("contributions", "cos2"))
-        assert peak < 1.25 * tables
+        assert peak < 0.25 * model.row_coords.nbytes
 
 
 class TestSupplementary:

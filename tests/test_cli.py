@@ -483,6 +483,24 @@ class TestErrors:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("n, ok", [(1, True), (1_000_000, True), (1_000_001, False)])
+    def test_permutation_count_capped(self, tmp_path, n, ok):
+        # checked before any gate runs, so no label array is allocated
+        config = PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path / "x"), n_permutations=n)
+        if ok:
+            cli_module._validate(config, "segment")
+        else:
+            with pytest.raises(ConfigError, match="--permutations"):
+                cli_module._validate(config, "segment")
+
+    def test_permutation_count_beyond_numpy_exit_2(self, tmp_path, capsys):
+        code = cli("segment", "--input", SYNTHETIC3, "--out", tmp_path / "x",
+                   "--permutations", "100000000000000000000")
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
     def test_numeric_error_exit_4(self, tmp_path, capsys):
         # identical documents give a zero-inertia model: no factor spread
         corpus = write_corpus_csv(

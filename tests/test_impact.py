@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from chronosem import (
     threshold_matrix,
 )
 from chronosem.errors import DegenerateSpread, DimensionMismatch, EmptyCampaign
-from chronosem.impact import PairwiseStats
+from chronosem.impact import PairwiseStats, _sum_squared_deviations
 from helpers import docs_from_rows, scale_corpus_rows, synthetic_corpus_rows
 from oracles import weighted_mean_coords
 
@@ -130,6 +133,29 @@ class TestPairwiseStats:
             assert stats.stdev == float(condensed.std())
             assert np.array_equal(stats.distances, condensed)
             assert dist is None or stats.distances is dist  # used without a copy
+
+    # around numpy's 8-accumulator block (128), its buffer (8192), the
+    # block squared at a time (65536) and the 1k and 3k corpora's pair counts
+    @pytest.mark.parametrize("n", [*range(1, 21), 127, 128, 129, 8191, 8192, 65535,
+                                   65536, 65537, 131080, 479_710, 4_321_330])
+    def test_blocked_stdev_equals_numpy_std(self, n):
+        x = np.random.default_rng(n).random(n) * 7.0
+        mean = x.mean()
+        assert math.sqrt(_sum_squared_deviations(x, mean) / n) == float(x.std())
+
+    def test_stdev_needs_no_copy_of_the_distances(self):
+        from chronosem.cluster import pdist
+
+        coords = np.random.default_rng(12).standard_normal((1000, 5))
+        dist = pdist(coords)
+        tracemalloc.start()
+        try:
+            stats = pairwise_distance_stats(coords, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.stdev == float(dist.std())
+        assert peak < dist.nbytes / 4
 
     @pytest.mark.parametrize("form", ["short", "long", "square"])
     def test_wrong_distances_rejected(self, form):

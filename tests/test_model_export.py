@@ -11,6 +11,7 @@ check that the bytes do not depend on the number of worker processes.
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chronosem import _workers, cli, corpus
-from chronosem.ca import fit_ca, model_export_dict
+from chronosem.ca import CAModel, fit_ca, model_export_dict
 from chronosem.cli import _dump_leaves, main
 from helpers import SYNTHETIC3, artifact_bytes, scale_corpus_rows, write_corpus_csv
+from oracles import export_tables
 
 
 def _tolist(obj):
@@ -30,12 +32,22 @@ def _tolist(obj):
     return obj.tolist() if isinstance(obj, np.ndarray) else obj
 
 
+def _reference(export):
+    """``export`` with its contributions and cos² leaves as whole tables
+    built by the oracle."""
+    export = {**export}
+    for cloud in ("rows", "cols"):
+        c = export[cloud] = {**export[cloud]}
+        c["contributions"], c["cos2"] = export_tables(c["masses"], c["coords"])
+    return export
+
+
 def _reference_export(path):
     docs = corpus.merge_adjacent_initiating(corpus.load_corpus(path))
     tdm = corpus.threshold_matrix(docs, corpus.build_vocabulary(docs), 5, 5)
     model = fit_ca(tdm.principal_counts())
     seq = [int(s) for s in tdm.principal_seq_nos()]
-    return model_export_dict(model, row_ids=seq, col_ids=tdm.terms)
+    return _reference(model_export_dict(model, row_ids=seq, col_ids=tdm.terms))
 
 
 def _reference_csv(ids, coords):
@@ -77,6 +89,9 @@ CORPORA = {
     "blocks4": lambda tmp: write_corpus_csv(scale_corpus_rows(n_blocks=4), tmp / "b.csv"),
     "one_factor": lambda tmp: write_corpus_csv(_two_term_rows(2), tmp / "one.csv"),
 }
+STRIPE_CORPORA = {
+    **CORPORA, "no_factor": lambda tmp: write_corpus_csv(_two_term_rows(1), tmp / "no.csv")
+}
 
 
 def test_synthetic3_artifacts_match_reference_renderings(tmp_path):
@@ -96,6 +111,55 @@ def test_few_factor_artifacts_match_reference_renderings(tmp_path, n_terms):
     assert model["n_factors"] == n_terms - 1
     lines = (tmp_path / "out" / "model_rows.csv").read_text().splitlines()
     assert all(len(line.split(",")) == n_terms for line in lines)
+
+
+@pytest.mark.parametrize("stripe_rows", [1, 2, 3, 64])
+@pytest.mark.parametrize("name", STRIPE_CORPORA)
+def test_artifacts_match_reference_at_any_stripe_size(tmp_path, monkeypatch, name, stripe_rows):
+    monkeypatch.setattr(cli, "_STRIPE_ROWS", stripe_rows)
+    _check_ca_artifacts(STRIPE_CORPORA[name](tmp_path), tmp_path / "out")
+
+
+@pytest.mark.parametrize("stripe_rows", [1, 2, 3, 64])
+def test_zero_coordinate_row_matches_reference(monkeypatch, stripe_rows):
+    # a row at the origin has zero cos² on every factor, not 0/0
+    monkeypatch.setattr(cli, "_STRIPE_ROWS", stripe_rows)
+    rng = np.random.default_rng(31)
+    row_coords = rng.normal(size=(70, 9))
+    row_coords[65] = 0.0
+    model = CAModel(
+        eigenvalues=np.linspace(1.0, 0.5, 9), row_coords=row_coords,
+        col_coords=np.asfortranarray(rng.normal(size=(5, 9))),
+        row_masses=rng.random(70) + 0.5, col_masses=rng.random(5) + 0.5, total_inertia=1.0,
+    )
+    export = model_export_dict(model)
+    buf, rows_csv = io.StringIO(), io.StringIO()
+    _dump_leaves(buf, export, {("rows", "coords"): (rows_csv, export["rows"]["ids"])})
+    reference = _reference(export)
+    assert buf.getvalue() == json.dumps(_tolist(reference), sort_keys=True)
+    assert not any(reference["rows"]["cos2"][65])
+    header = ",".join(["id"] + [f"f{s + 1}" for s in range(9)]) + "\n"
+    want = _reference_csv(export["rows"]["ids"], row_coords).decode()
+    assert header + rows_csv.getvalue() == want
+
+
+def test_stage_ca_holds_no_full_table(tmp_path, monkeypatch):
+    # with one worker every stripe forms in this process, and the derived
+    # tables are never held whole, so stage_ca stays below one of them.  The
+    # text of one stripe and the writers' buffers do not shrink with the
+    # table, so the stripes are small and the corpus is eight blocks
+    monkeypatch.setattr(_workers, "_default_workers", lambda: 1)
+    monkeypatch.setattr(cli, "_STRIPE_ROWS", 4)
+    path = write_corpus_csv(scale_corpus_rows(n_blocks=8), tmp_path / "b.csv")
+    pipe = cli._Pipeline(cli.PipelineConfig(input=str(path), out=str(tmp_path / "out")))
+    pipe.stage_ca()  # fits the model and imports what the writer needs
+    tracemalloc.start()
+    try:
+        pipe.stage_ca()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pipe.model.row_coords.nbytes  # one rows-cloud table
 
 
 def _started_pools(monkeypatch) -> list:
@@ -132,11 +196,18 @@ def test_artifacts_independent_of_worker_count(tmp_path, monkeypatch, name):
 
 
 def test_export_leaves_are_arrays_and_ids():
-    export = _reference_export(SYNTHETIC3)
+    docs = corpus.merge_adjacent_initiating(corpus.load_corpus(SYNTHETIC3))
+    tdm = corpus.threshold_matrix(docs, corpus.build_vocabulary(docs), 5, 5)
+    export = model_export_dict(fit_ca(tdm.principal_counts()), col_ids=tdm.terms)
     for cloud in ("rows", "cols"):
         assert isinstance(export[cloud]["ids"], list)
-        for key in ("masses", "coords", "contributions", "cos2"):
+        for key in ("masses", "coords"):
             assert isinstance(export[cloud][key], np.ndarray)
+        # the derived leaves are arrays once sliced, shaped as the coordinates
+        for key in ("contributions", "cos2"):
+            leaf = export[cloud][key][:]
+            assert isinstance(leaf, np.ndarray)
+            assert leaf.shape == export[cloud]["coords"].shape
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
