@@ -4,7 +4,6 @@ forks: see :func:`solver`."""
 from __future__ import annotations
 
 import os
-import select
 import threading
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
@@ -58,49 +57,50 @@ class _Pool:
 
     def __init__(self, fn: Callable, workers: int, ctx):
         self.fn = fn
-        self.conns, self.procs = [], []
-        self.sent: list[list] = []  # per worker, oldest first
+        self.procs = []
+        self.sent: dict = {}  # each worker's pipe: its keys not yet collected, oldest first
         self.done: dict = {}
         for _ in range(workers):
             here, there = ctx.Pipe()
-            ends = [*self.conns, here]
+            ends = [*self.sent, here]
             proc = ctx.Process(target=_serve, args=(there, ends, fn), daemon=True)
             proc.start()
             there.close()
-            self.conns.append(here)
+            self.sent[here] = []
             self.procs.append(proc)
-            self.sent.append([])
 
-    def _collect(self, w: int) -> None:
-        """Receive worker w's oldest outstanding result."""
+    def _collect(self, conn) -> None:
+        """Receive the oldest outstanding result on a worker's pipe."""
         try:
-            key, result = self.conns[w].recv()
+            key, result = conn.recv()
         except (EOFError, OSError):
             raise _broken() from None
-        self.sent[w].remove(key)
+        self.sent[conn].remove(key)
         self.done[key] = result
 
-    def _send(self, w: int, key) -> None:
+    def _send(self, conn, key) -> None:
         try:
-            self.conns[w].send(key)
+            conn.send(key)
         except OSError:
             raise _broken() from None
-        self.sent[w].append(key)
+        self.sent[conn].append(key)
 
-    def _ready(self, timeout) -> list[int]:
-        """The workers with a finished result, waiting up to ``timeout``."""
-        busy = [c for c, sent in zip(self.conns, self.sent) if sent]
-        return [self.conns.index(c) for c in select.select(busy, [], [], timeout)[0]]
+    def _ready(self, timeout) -> list:
+        """The pipes with a finished result, waiting up to ``timeout``;
+        ``wait``, unlike ``select``, takes a descriptor of any number."""
+        from multiprocessing.connection import wait
+
+        return wait([conn for conn, sent in self.sent.items() if sent], timeout)
 
     def _top_up(self, guesses: Iterable) -> None:
         """Hand out the first guesses no worker holds, the least busy worker
         first, so each keeps ``_DEPTH`` keys."""
         for guess in guesses:
-            w = min(range(len(self.sent)), key=lambda i: len(self.sent[i]))
-            if len(self.sent[w]) == _DEPTH:
+            conn = min(self.sent, key=lambda c: len(self.sent[c]))
+            if len(self.sent[conn]) == _DEPTH:
                 return
-            if guess not in self.done and all(guess not in sent for sent in self.sent):
-                self._send(w, guess)
+            if guess not in self.done and all(guess not in sent for sent in self.sent.values()):
+                self._send(conn, guess)
 
     def __call__(self, key, ahead: Callable[[], Iterable]):
         guesses = None
@@ -110,16 +110,16 @@ class _Pool:
             workers with room; a worker whose queue holds only stale
             guesses is thus fed again."""
             nonlocal guesses
-            for w in self._ready(timeout):
-                self._collect(w)
-            if any(len(sent) < _DEPTH for sent in self.sent):
+            for conn in self._ready(timeout):
+                self._collect(conn)
+            if any(len(sent) < _DEPTH for sent in self.sent.values()):
                 if guesses is None:
                     guesses = ahead()
                 self._top_up(guesses)
 
         collect(0)
         self.done = {k: r for k, r in self.done.items() if k >= key}
-        while key not in self.done and any(key in sent for sent in self.sent):
+        while key not in self.done and any(key in sent for sent in self.sent.values()):
             collect(None)
         result = self.done.pop(key) if key in self.done else self.fn(key)
         if isinstance(result, Exception):
@@ -127,7 +127,7 @@ class _Pool:
         return result
 
     def close(self) -> None:
-        for conn in self.conns:
+        for conn in self.sent:
             conn.close()
         for proc in self.procs:
             proc.terminate()

@@ -126,8 +126,9 @@ def _format_stripe(block: np.ndarray, ids) -> tuple[str, str]:
 
 def _pieces(obj, path: tuple = ()):
     """``json.dumps(obj, sort_keys=True)`` as a sequence of strings, with a
-    ``(key path, table)`` pair in place of each 2-D float table (an ndarray,
-    or a leaf that forms the rows sliced from it)."""
+    ``(key path, table, first row)`` tuple in place of each stripe of
+    ``_STRIPE_ROWS`` rows of a 2-D float table (an ndarray, or a leaf that
+    forms the rows sliced from it)."""
     if isinstance(obj, dict):
         yield "{"
         for k, key in enumerate(sorted(obj)):
@@ -135,7 +136,10 @@ def _pieces(obj, path: tuple = ()):
             yield from _pieces(obj[key], path + (key,))
         yield "}"
     elif getattr(obj, "ndim", None) == 2 and obj.dtype.kind == "f":
-        yield path, obj
+        yield "["
+        for a in range(0, len(obj), _STRIPE_ROWS):
+            yield path, obj, a
+        yield "]"
     else:
         yield json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
 
@@ -156,15 +160,12 @@ def _dump_leaves(fh, obj, csvs=None) -> None:
     """
     csvs = csvs or {}
     pieces = list(_pieces(obj))
-    stripes = [
-        (table, a, csvs[path][1][a : a + _STRIPE_ROWS] if path in csvs else None)
-        for path, table in (p for p in pieces if isinstance(p, tuple))
-        for a in range(0, len(table), _STRIPE_ROWS)
-    ]
+    stripes = [p for p in pieces if isinstance(p, tuple)]
     n = len(stripes)
 
     def format_stripe(i: int) -> tuple[str, str]:
-        table, a, ids = stripes[i]
+        path, table, a = stripes[i]
+        ids = csvs[path][1][a : a + _STRIPE_ROWS] if path in csvs else None
         return _format_stripe(table[a : a + _STRIPE_ROWS], ids)
 
     # the workers fork after the stripes exist, so only indices cross the pipes
@@ -174,14 +175,11 @@ def _dump_leaves(fh, obj, csvs=None) -> None:
             if isinstance(piece, str):
                 fh.write(piece)
                 continue
-            path, table = piece
-            fh.write("[")
-            for a in range(0, len(table), _STRIPE_ROWS):
-                text, lines = next(results)
-                fh.write(f"{', ' if a else ''}{text}")
-                if path in csvs:
-                    csvs[path][0].write(lines)
-            fh.write("]")
+            path, _, a = piece
+            text, lines = next(results)
+            fh.write(f"{', ' if a else ''}{text}")
+            if path in csvs:
+                csvs[path][0].write(lines)
 
 
 class _Pipeline:

@@ -85,9 +85,7 @@ def pdist(points) -> np.ndarray:
             out[run_start[i] : run_start[i + 1]] = block[i - a, i - a :]
 
     with ThreadPoolExecutor(max_workers=_workers._default_workers()) as pool:
-        tasks = [pool.submit(fill, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        for task in tasks:
-            task.result()
+        list(pool.map(fill, bounds[:-1], bounds[1:]))  # raises the first error
     out.flags.writeable = False
     return out
 

@@ -100,14 +100,11 @@ def _coded_matrix(dist_matrix: np.ndarray) -> np.ndarray:
     """0/1 matrix coding each pairwise distance; the half strictly above the
     median is 1 (ties at the median conservatively 0).
 
-    The median is taken over the sorted condensed pairs (the middle pair, or
-    the mean of the two middle pairs, as ``np.median`` returns it) and the
-    square matrix is coded directly; its zero diagonal codes 0.
-    ``dist_matrix`` is symmetric and is only read.
+    The median is ``np.median`` of the condensed pairs, and the square
+    matrix is coded directly; its zero diagonal codes 0.  ``dist_matrix``
+    is symmetric and is only read.
     """
-    pairs = np.sort(squareform(dist_matrix, checks=False))
-    half = len(pairs) // 2
-    median = pairs[half] if len(pairs) % 2 else (pairs[half - 1] + pairs[half]) / 2
+    median = np.median(squareform(dist_matrix, checks=False))
     return (dist_matrix > median).astype(float)
 
 

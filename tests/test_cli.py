@@ -68,9 +68,9 @@ def _pooled_gates(monkeypatch, workers):
     collected = []
     collect = _workers._Pool._collect
 
-    def counted(pool, w):
-        collect(pool, w)
-        collected.append(w)
+    def counted(pool, conn):
+        collect(pool, conn)
+        collected.append(conn)
 
     monkeypatch.setattr(_workers._Pool, "_collect", counted)
     return collected
@@ -873,10 +873,10 @@ class TestForkPolicy:
         self._cores(monkeypatch, 2)
         sent, send = [], _workers._Pool._send
 
-        def counted(pool, w, key):
-            send(pool, w, key)
+        def counted(pool, conn, key):
+            send(pool, conn, key)
             sent.append(key)
-            assert len(pool.sent[w]) <= _workers._DEPTH
+            assert len(pool.sent[conn]) <= _workers._DEPTH
 
         monkeypatch.setattr(_workers._Pool, "_send", counted)
         n, results = 40, []
@@ -887,6 +887,25 @@ class TestForkPolicy:
         assert [key for _, key in results] == list(range(n))
         assert os.getpid() not in {pid for pid, _ in results}
         assert sorted(sent) == list(range(n))
+
+    def test_caller_waits_for_its_own_key_only_and_without_spinning(self, monkeypatch):
+        # key 1 is slow: asking for key 2 must not wait for it, and waiting
+        # for key 1 must block in the kernel, not poll
+        self._cores(monkeypatch, 2)
+
+        def slow_one(key):
+            if key == 1:
+                time.sleep(1.0)
+            return key
+
+        with _workers.solver(slow_one) as solve:
+            start = time.perf_counter()
+            assert solve(0, lambda: [0, 1]) == 0  # key 1 goes to the other worker
+            assert solve(2, lambda: [2]) == 2
+            assert time.perf_counter() - start < 0.5
+            start, cpu = time.perf_counter(), time.process_time()
+            assert solve(1, lambda: [1]) == 1
+            assert time.process_time() - cpu < 0.25 * (time.perf_counter() - start)
 
     def test_formatting_workers_exit_when_the_cli_dies(self, tmp_path):
         # the worker processes inherit the write end of a pipe; it reads end
@@ -930,6 +949,78 @@ class TestForkPolicy:
             run_cli.kill()
             run_cli.stdout.close()
             os.close(read_end)
+
+
+# run in a fresh interpreter: every worker pool it starts has 2 workers, and
+# `pipes` collects the descriptor numbers of their pipes
+_RECORD_PIPES = """
+import sys
+from chronosem import _workers, cli
+_workers._default_workers = lambda: 2
+pipes, init = [], _workers._Pool.__init__
+
+def recorded(pool, *args):
+    init(pool, *args)
+    pipes.extend(conn.fileno() for conn in pool.sent)
+
+_workers._Pool.__init__ = recorded
+"""
+
+
+class TestManyOpenDescriptors:
+    """The worker pools work whatever the number of descriptors their caller
+    holds open, past the 1024 that ``select`` takes."""
+
+    def test_pools_and_cli_past_descriptor_1024(self, tmp_path):
+        import resource
+
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+            pytest.skip("needs a soft RLIMIT_NOFILE of at least 1200")
+        script = _RECORD_PIPES + f"_RECORD_PIPES = {_RECORD_PIPES!r}\n" + textwrap.dedent("""
+            import io, os, subprocess
+            import numpy as np
+            from chronosem import segmentation
+
+            fds = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
+
+            def run(workers, fn):
+                _workers._default_workers = lambda: workers
+                return fn()
+
+            rng = np.random.default_rng(8)
+            pts = rng.standard_normal((120, 6)) + 2.0 * (np.arange(120) // 15)[:, None]
+            config = segmentation.PermTestConfig(n_permutations=300, rng_seed=9)
+            inline = run(1, lambda: segmentation.segment(pts, config))
+            pooled = run(2, lambda: segmentation.segment(pts, config))
+            assert pooled.tests == inline.tests and pooled.segments == inline.segments
+
+            cli._STRIPE_ROWS = 4
+            tree = {"a": rng.standard_normal((40, 3)), "b": [1.5, 2]}
+
+            def dump():
+                buf = io.StringIO()
+                cli._dump_leaves(buf, tree)
+                return buf.getvalue()
+
+            assert run(2, dump) == run(1, dump)
+            assert len(pipes) == 4 and min(pipes) >= 1024, pipes
+
+            # the CLI inherits the 1100 descriptors
+            main = "assert cli.main(sys.argv[1:]) == 0; assert pipes and min(pipes) >= 1024"
+            for sub in ("segment", "ca"):
+                argv = [sub, "--input", sys.argv[1], "--out", f"{sys.argv[2]}/{sub}"]
+                command = [sys.executable, "-c", _RECORD_PIPES + main, *argv]
+                subprocess.run(command, pass_fds=fds, check=True)
+        """)
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(SYNTHETIC3), str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        for sub in ("segment", "ca"):
+            assert cli(sub, "--input", SYNTHETIC3, "--out", tmp_path / f"plain_{sub}") == 0
+            assert artifact_bytes(tmp_path / sub) == artifact_bytes(tmp_path / f"plain_{sub}")
 
 
 class TestStopwordOverride:

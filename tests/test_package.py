@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import types
 
@@ -59,3 +61,18 @@ def test_cluster_is_the_function_and_the_module_is_registered():
     # the benchmark's tracer wraps pdist on the module it finds in sys.modules
     assert isinstance(cluster_module, types.ModuleType)
     assert chronosem.cluster is cluster_module.cluster
+
+
+def test_cli_start_up_loads_no_process_pool():
+    # the worker pools import multiprocessing when they are made, so a run
+    # that never forks does not pay for it
+    code = (
+        "import sys, chronosem.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys()))"
+    )
+    src = os.path.dirname(os.path.dirname(chronosem.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout == "[]\n"

@@ -260,14 +260,14 @@ class TestGatePool:
 
     @pytest.fixture
     def pooled(self, monkeypatch):
-        """Run every segment() below through the pool; returns the number of
-        results collected from the workers."""
+        """Run every segment() below through the pool; returns the worker
+        pipe of each result collected."""
         collected = []
         collect = _workers._Pool._collect
 
-        def counted(pool, w):
-            collect(pool, w)
-            collected.append(w)
+        def counted(pool, conn):
+            collect(pool, conn)
+            collected.append(conn)
 
         monkeypatch.setattr(_workers._Pool, "_collect", counted)
         return collected
@@ -285,7 +285,7 @@ class TestGatePool:
             assert got.tests == inline.tests  # every BoundaryTest field
             assert got.blocked == inline.blocked
             assert got.segments == inline.segments
-        assert len(set(pooled)) == 3  # every worker of both pools gave results
+        assert len(set(pooled)) == 5  # every worker of both pools (2 + 3) gave results
 
     def test_wrong_guesses_change_nothing(self, monkeypatch, pooled):
         pts = dict(_pool_clouds())["random"]
