@@ -6,7 +6,6 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Callable, Iterable
-from contextlib import contextmanager
 
 _MAX_WORKERS = 4  # measured only up to 2 cores
 _DEPTH = 2  # keys handed to one worker and not yet collected
@@ -52,8 +51,8 @@ def _serve(conn, parent_ends: list, fn: Callable) -> None:
 
 
 class _Pool:
-    """Forked workers that compute ``fn`` of the guessed keys.  A worker
-    that dies raises ``BrokenProcessPool`` in the caller."""
+    """Forked workers that compute ``fn`` of the guessed keys; the caller
+    computes any other key.  A worker that dies raises ``BrokenProcessPool``."""
 
     def __init__(self, fn: Callable, workers: int, ctx):
         self.fn = fn
@@ -126,7 +125,10 @@ class _Pool:
             raise result
         return result
 
-    def close(self) -> None:
+    def __enter__(self) -> _Pool:
+        return self
+
+    def __exit__(self, *exc) -> None:
         for conn in self.sent:
             conn.close()
         for proc in self.procs:
@@ -135,17 +137,16 @@ class _Pool:
             proc.close()
 
 
-@contextmanager
-def solver(fn: Callable):
+def solver(fn: Callable) -> _Pool:
     """``solve(key, ahead)``: ``fn(key)``, for keys asked for in increasing
     order.  ``ahead()`` lists the keys likely to be asked for next, and
     forked workers compute them while the caller waits for, or computes,
     the current one.  A result is used only for the key it was computed
     for, so a wrong guess wastes a worker's time and changes no result.
 
-    Every key is computed inline, with the same result, with one worker,
-    without ``fork``, when another thread is alive (a fork then risks a
-    deadlock) or in a daemon process (which may not have children).
+    No worker starts, so the caller computes every key, with one usable
+    core, without ``fork``, when another thread is alive (a fork then
+    risks a deadlock) or in a daemon process (which may not have children).
     Workers leave through ``os._exit``, so they never flush the caller's
     open files, and they are stopped when the block exits, however it
     exits.
@@ -159,10 +160,5 @@ def solver(fn: Callable):
         or threading.active_count() > 1
         or multiprocessing.current_process().daemon
     ):
-        yield lambda key, ahead: fn(key)
-        return
-    pool = _Pool(fn, workers, multiprocessing.get_context("fork"))
-    try:
-        yield pool
-    finally:
-        pool.close()
+        workers = 0
+    return _Pool(fn, workers, multiprocessing.get_context("fork") if workers else None)

@@ -144,7 +144,7 @@ def _pieces(obj, path: tuple = ()):
         yield json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
 
 
-def _dump_leaves(fh, obj, csvs=None) -> None:
+def _dump_leaves(fh, obj, csvs: dict) -> None:
     """Write ``json.dumps(obj, sort_keys=True)`` to ``fh`` one leaf at a time.
 
     Dicts are written key by key in sorted order.  Every 2-D float table is
@@ -158,7 +158,6 @@ def _dump_leaves(fh, obj, csvs=None) -> None:
     encoder (an ndarray after ``.tolist()``).  Floats must be finite, as
     ``repr`` and JSON differ on NaN and inf.
     """
-    csvs = csvs or {}
     pieces = list(_pieces(obj))
     stripes = [p for p in pieces if isinstance(p, tuple)]
     n = len(stripes)

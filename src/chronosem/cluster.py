@@ -209,7 +209,8 @@ def cluster(points, ids: list[int] | None = None, dist=None) -> Dendrogram:
     n = len(pts)
     if n < 2:
         raise DimensionMismatch("need at least 2 points to cluster")
-    if ids is not None and len(ids) != n:
+    ids = list(range(n)) if ids is None else list(ids)
+    if len(ids) != n:
         raise DimensionMismatch("ids length does not match points")
     dist = pdist(pts) if dist is None else _condensed(dist, n)
     # d(i, j > i) is dist[base[i] + j], and the loop reads only blocks with
@@ -219,11 +220,7 @@ def cluster(points, ids: list[int] | None = None, dist=None) -> Dendrogram:
     merges, intervals, _ = _agglomerate(
         lambda a, b: dist[base[a, None] + np.arange(b.start, b.stop)], n
     )
-    return Dendrogram(
-        leaves=list(ids) if ids is not None else list(range(n)),
-        merges=merges,
-        intervals=intervals,
-    )
+    return Dendrogram(leaves=ids, merges=merges, intervals=intervals)
 
 
 def to_newick(dendro: Dendrogram) -> str:
@@ -247,16 +244,7 @@ def to_newick(dendro: Dendrogram) -> str:
 def dendrogram_json_dict(dendro: Dendrogram) -> dict:
     return {
         "leaves": list(dendro.leaves),
-        "merges": [
-            {
-                "step": t,
-                "left": m.left,
-                "right": m.right,
-                "height": m.height,
-                "size": m.size,
-            }
-            for t, m in enumerate(dendro.merges)
-        ],
+        "merges": [{"step": t, **vars(m)} for t, m in enumerate(dendro.merges)],
     }
 
 

@@ -286,7 +286,7 @@ def _read_records(path: Path):
                 continue
             try:
                 yield line, json.loads(raw)
-            except ValueError as exc:  # JSONDecodeError, or an over-long integer
+            except (ValueError, RecursionError) as exc:  # bad JSON, a long integer, deep nesting
                 msg = getattr(exc, "msg", exc)
                 raise CorpusFormatError(f"{path}:{line}: malformed JSON ({msg})") from None
     else:

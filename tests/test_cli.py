@@ -474,8 +474,10 @@ class TestErrors:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "AllDocumentsEmpty"
 
-    @pytest.mark.parametrize("flag, value", [("--alpha", "1.5"), ("--dims", "bogus")],
-                             ids=["alpha", "dims"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--alpha", "1.5"), ("--dims", "bogus"), ("--seed", "-1")],
+        ids=["alpha", "dims", "seed"],
+    )
     def test_bad_alpha_rejected(self, tmp_path, capsys, flag, value):
         code = cli("segment", "--input", SYNTHETIC3, "--out", tmp_path / "x", flag, value)
         assert code == 2
@@ -549,12 +551,17 @@ class TestErrors:
             # csv.reader reads a NUL on Python 3.11+ and rejects it before
             ("nul.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,c\0d,0,1\n", 3),
             ("underscore_id.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,c d,0,1_0\n", 3),
+            ("null_text.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": null}\n', 2),
+            # nested past the JSON decoder's recursion limit on every Python
+            ("deep.jsonl",
+             b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": '
+             + b"[" * 100_000 + b"]" * 100_000 + b"}\n", 2),
         ],
         ids=[
             "float_campaign", "malformed_jsonl", "non_utf8", "short_row",
             "yes_initiating", "numeric_initiating", "initiating_without_campaign",
             "field_over_csv_limit", "integer_over_digit_limit", "nul_byte",
-            "underscore_in_id",
+            "underscore_in_id", "null_text", "nesting_over_recursion_limit",
         ],
     )
     def test_bad_corpus_record_exit_3_names_line(self, tmp_path, capsys, name, content, line):
@@ -888,6 +895,56 @@ class TestForkPolicy:
         assert os.getpid() not in {pid for pid, _ in results}
         assert sorted(sent) == list(range(n))
 
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        # key 3 fails in a worker: the caller raises what a pool without
+        # workers raises, and leaving the block still stops both workers
+        sent, send = [], _workers._Pool._send
+
+        def counted(pool, conn, key):
+            send(pool, conn, key)
+            sent.append(key)
+
+        monkeypatch.setattr(_workers._Pool, "_send", counted)
+
+        def fn(key):
+            if key == 3:
+                raise ValueError(f"bad key {key}")
+            return key
+
+        def failure(cores):
+            self._cores(monkeypatch, cores)
+            with pytest.raises(ValueError) as caught:
+                with _workers.solver(fn) as solve:
+                    pids = [proc.pid for proc in solve.procs]
+                    for i in range(5):
+                        assert solve(i, lambda: range(i, 5)) == i
+            return caught.value, pids
+
+        inline, no_pids = failure(1)
+        assert no_pids == [] and sent == []
+        pooled, pids = failure(2)
+        assert len(pids) == 2 and 3 in sent  # computed by a worker
+        assert type(pooled) is type(inline) is ValueError
+        assert str(pooled) == str(inline) == "bad key 3"
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_leaving_the_block_stops_a_busy_worker(self, monkeypatch):
+        # key 1 would keep a worker busy for a minute; leaving the block
+        # must not wait for it
+        self._cores(monkeypatch, 2)
+
+        def slow_one(key):
+            if key == 1:
+                time.sleep(60)
+            return key
+
+        with _workers.solver(slow_one) as solve:
+            assert solve(0, lambda: [0, 1]) == 0
+            start = time.perf_counter()
+        assert time.perf_counter() - start < 10
+
     def test_caller_waits_for_its_own_key_only_and_without_spinning(self, monkeypatch):
         # key 1 is slow: asking for key 2 must not wait for it, and waiting
         # for key 1 must block in the kernel, not poll
@@ -999,7 +1056,7 @@ class TestManyOpenDescriptors:
 
             def dump():
                 buf = io.StringIO()
-                cli._dump_leaves(buf, tree)
+                cli._dump_leaves(buf, tree, {})
                 return buf.getvalue()
 
             assert run(2, dump) == run(1, dump)

@@ -132,7 +132,10 @@ class TestExports:
         dendro = cluster(LINE, ids=[11, 12, 13])
         payload = dendrogram_json_dict(dendro)
         assert payload["leaves"] == [11, 12, 13]
-        assert len(payload["merges"]) == 2
+        assert payload["merges"] == [
+            {"step": 0, "left": 0, "right": 1, "height": 1.0, "size": 2},
+            {"step": 1, "left": 3, "right": 2, "height": 10.0, "size": 3},
+        ]
         rows = list(dendrogram_csv_rows(dendro))
         assert rows[0] == ("step", "left", "right", "height")
         assert len(rows) == 3

@@ -163,13 +163,15 @@ def test_stage_ca_holds_no_full_table(tmp_path, monkeypatch):
 
 
 def _started_pools(monkeypatch) -> list:
-    """Count the worker pools started from here on: one entry each."""
+    """Count the pools started from here on that start workers: one entry
+    each (a pool without workers computes every key in the caller)."""
     started = []
     init = _workers._Pool.__init__
 
     def counted(pool, *args):
         init(pool, *args)
-        started.append(pool)
+        if pool.procs:
+            started.append(pool)
 
     monkeypatch.setattr(_workers._Pool, "__init__", counted)
     return started
@@ -237,6 +239,6 @@ def test_streamed_json_equals_json_dumps(tree, stripe_rows, two_workers, monkeyp
     monkeypatch.setattr(cli, "_STRIPE_ROWS", stripe_rows)
     buf = io.StringIO()
     before = len(two_workers)
-    _dump_leaves(buf, tree)
+    _dump_leaves(buf, tree, {})
     assert len(two_workers) == before + 1  # formatted on the pool
     assert buf.getvalue() == json.dumps(_tolist(tree), sort_keys=True)

@@ -473,6 +473,44 @@ class TestSegmentCentroids:
         assert fmap.coords.shape[0] == 1
         assert float(np.linalg.norm(fmap.coords)) == 0.0
 
+    def test_all_singletons_are_all_active(self, monkeypatch):
+        # every segment a singleton: none is held out, and the fit runs on
+        # the documents' own rows, less the columns no document uses
+        rng = np.random.default_rng(7)
+        counts = rng.integers(0, 4, size=(9, 10))
+        counts[:, 0] += 1
+        counts[:, 3] = 0
+        res = SegmentationResult(segments=[[k] for k in range(9)], tests=[])
+        fitted = []
+        fit = segmentation.ca.fit_ca
+        monkeypatch.setattr(segmentation.ca, "fit_ca", lambda t: fitted.append(t) or fit(t))
+        fmap = segment_centroids_as_supplementary(res, counts)
+        assert not fmap.supplementary.any()
+        kept = np.flatnonzero(counts.sum(axis=0) > 0)
+        assert np.array_equal(fmap.kept_cols, kept)
+        assert np.array_equal(fitted[0], counts[:, kept].astype(float))
+        assert np.array_equal(fmap.coords, fmap.model.row_coords)
+
+    def test_singleton_outside_active_columns_is_nan(self):
+        # the singleton's terms all vanish from the active segments' columns
+        rng = np.random.default_rng(8)
+        sizes = [3, 1, 4, 2]
+        counts = rng.integers(0, 4, size=(sum(sizes), 8))
+        counts[:, 0] += 1
+        counts[:, 6:] = 0
+        counts[3] = 0
+        counts[3, 6:] = [2, 5]  # document 3 is segment 1, a singleton
+        bounds = np.cumsum([0] + sizes)
+        res = SegmentationResult(
+            segments=[list(range(a, b)) for a, b in zip(bounds[:-1], bounds[1:])],
+            tests=[],
+        )
+        fmap = segment_centroids_as_supplementary(res, counts)
+        assert fmap.supplementary.tolist() == [False, True, False, False]
+        assert fmap.kept_cols.tolist() == list(range(6))
+        assert np.isnan(fmap.coords[1]).all()
+        assert np.isfinite(fmap.coords[[0, 2, 3]]).all()
+
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_segment_sums_equal_dense_sums(self, monkeypatch, layout):
         rng = np.random.default_rng(6)
