@@ -70,8 +70,6 @@ class CAModel:
 
     @property
     def percent_inertia(self) -> np.ndarray:
-        if self.total_inertia <= 0:
-            return np.zeros(0)
         return 100.0 * self.eigenvalues / self.total_inertia
 
 
@@ -178,8 +176,8 @@ def decompose(table: ProbabilityTable) -> CAModel:
         eigenvalues=lam,
         row_coords=row_coords,
         col_coords=col_coords,
-        row_masses=table.row_masses.copy(),
-        col_masses=table.col_masses.copy(),
+        row_masses=table.row_masses,
+        col_masses=table.col_masses,
         total_inertia=inertia,
     )
     for arr in (lam, row_coords, col_coords, model.row_masses, model.col_masses):

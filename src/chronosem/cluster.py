@@ -46,9 +46,7 @@ class Dendrogram:
 
 
 def _validate_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2:
         raise DimensionMismatch("points must form an (n, dims) array")
     if not np.all(np.isfinite(pts)):
@@ -71,7 +69,7 @@ def pdist(points) -> np.ndarray:
     the usable cores (at most 4) and the result does not depend on their
     order.
     """
-    pts = np.ascontiguousarray(_validate_points(points))
+    pts = _validate_points(points)
     n = len(pts)
     rows = np.arange(n + 1)
     run_start = rows * (2 * n - rows - 1) // 2  # pairs of the rows before i
@@ -106,8 +104,7 @@ def _distance_blocks(pts: np.ndarray) -> Callable[[slice, slice], np.ndarray]:
     uses, so every value equals the one :func:`pdist` gives for that pair
     bit for bit and no n×n matrix is built.
     """
-    rows = np.ascontiguousarray(pts)
-    return lambda a, b: cdist(rows[a], rows[b])
+    return lambda a, b: cdist(pts[a], pts[b])
 
 
 def _upcoming(heights: np.ndarray, pos: int, bounds: list, k: int) -> list:

@@ -90,8 +90,6 @@ def tokenize(raw_text: str, stopwords: frozenset = DEFAULT_STOPWORDS) -> list[st
     dropped; ``stopwords`` and the contraction rumps "ll", "s" and "t" are
     dropped.  Empty input yields an empty list.
     """
-    if not raw_text:
-        return []
     text = raw_text.replace("&amp;", "and")
     out = []
     for match in _ALPHA_RUN.finditer(text):
@@ -249,7 +247,7 @@ def merge_adjacent_initiating(docs: Sequence[Document]) -> list[Document]:
     runs = groupby(docs, key=lambda d: d.campaign if d.is_initiating else None)
     for campaign, run in runs:
         run = list(run)
-        if campaign is None or len(run) == 1:
+        if campaign is None:
             out.extend(run)
         else:
             text = " ".join(d.raw_text for d in run)
@@ -346,14 +344,14 @@ def load_corpus(path: str | Path) -> list[Document]:
         try:
             seq_no = _id_field("seq_no", rec["seq_no"])
             text = rec["text"]
-            if text is None:
-                raise ValueError("text is missing")
+            if not isinstance(text, str):
+                raise ValueError(f"text {text!r} is not a string")
             init = _flag_field(rec.get("is_initiating"))
             camp = rec.get("campaign")
             campaign = (
                 None if camp is None or str(camp).strip() == "" else _id_field("campaign", camp)
             )
-            doc = Document(seq_no, str(text), init, campaign)
+            doc = Document(seq_no, text, init, campaign)
         except (KeyError, ValueError, TypeError, CorpusFormatError) as exc:
             raise CorpusFormatError(f"{path}:{line}: bad record {rec!r}: {exc}") from None
         if docs and seq_no <= docs[-1].seq_no:

@@ -225,7 +225,7 @@ def drilldown(
     if campaign not in tdm.campaign_ids:  # -1 marks unlabelled documents
         raise EmptyCampaign(f"campaign {campaign} has no documents")
     rows = np.flatnonzero(tdm.campaigns == campaign)
-    dense = np.asarray(tdm.counts[rows].todense(), dtype=float)
+    dense = tdm.counts[rows].toarray()
     keep = np.flatnonzero(dense.sum(axis=0) > 0)
     dense = dense[:, keep]
     terms = [tdm.terms[j] for j in keep]

@@ -119,8 +119,7 @@ def _relabelled_counts(
     """
     labels = np.zeros((n_perms, coded.shape[0]))
     labels[:, :n_a] = 1.0
-    if n_perms > 1:
-        rng.permuted(labels[1:], axis=1, out=labels[1:])
+    rng.permuted(labels[1:], axis=1, out=labels[1:])
     deg = coded.sum(axis=1)
     # count = v' C (1-v) = v'C1 - v'Cv for indicator v of group A
     quad = np.einsum("ij,ij->i", labels @ coded, labels)
@@ -288,7 +287,7 @@ def segment_centroids_as_supplementary(
          np.arange(n_docs), np.cumsum([0, *sizes])),
         shape=(result.n_segments, n_docs),
     )
-    seg_counts = (members @ counts).toarray().astype(float)
+    seg_counts = (members @ counts).toarray()
 
     supplementary = sizes == 1
     if supplementary.all():

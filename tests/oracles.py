@@ -180,3 +180,17 @@ def export_tables(masses, coords):
     nz = denom[:, 0] > 0
     cos2[nz] = sq[nz] / denom[nz]
     return np.asarray(masses, dtype=float)[:, None] * sq, cos2
+
+
+def upcoming_bruteforce(heights, pos, bounds, k):
+    """The k proposals most likely to follow the one at ``pos``: every link
+    in order of (height, position), skipping a link beside the proposal or
+    beside an earlier guess, stopping at a blocked (inf) link."""
+    changing, out = {pos - 1, pos, pos + 1}, []
+    for q in sorted(range(len(heights)), key=lambda q: (heights[q], q)):
+        if len(out) == k or heights[q] == np.inf:
+            break
+        if q not in changing:
+            out.append((bounds[q], bounds[q + 1], bounds[q + 2]))
+            changing |= {q - 1, q + 1}
+    return out

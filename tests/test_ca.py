@@ -66,6 +66,16 @@ class TestNormalize:
         with pytest.raises(ZeroMarginError):
             normalize(np.array([[1, 0], [2, 0]]))
 
+    @pytest.mark.parametrize(
+        "counts, match",
+        [([1, 2, 3], "two-dimensional"), ([[1, -1], [2, 3]], "nonnegative"),
+         ([[0, 0], [0, 0]], "grand total")],
+        ids=["1d", "negative", "all_zero"],
+    )
+    def test_rejects_a_table_with_no_probabilities(self, counts, match):
+        with pytest.raises(ZeroMarginError, match=match):
+            normalize(np.array(counts))
+
     def test_invariants_random(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -201,6 +211,33 @@ class TestDecompose:
 
         monkeypatch.setattr(np.linalg, "svd", poisoned)
         with pytest.raises(ConvergenceError, match="non-finite"):
+            decompose(normalize(DIAG))
+
+    def test_truncation_cutoffs(self):
+        n = 10**8
+        # a second factor above the squared-eps noise floor but at 6e-18
+        # of the total inertia is truncated
+        strong = fit_ca(np.array([[n, 0, 0], [0, n, n], [0, n, n + 1]]))
+        assert strong.n_factors == 1
+        # a nearly independent table keeps its one factor: its inertia is
+        # below eps, yet far above the squared-eps noise floor
+        weak = fit_ca(np.array([[n, n], [n, n + 1]]))
+        assert weak.n_factors == 1 and 0 < weak.eigenvalues[0] < 1e-16
+
+    def test_percent_inertia_is_the_share_of_total_inertia(self):
+        # the total, not the kept eigenvalues' sum, which differs from it
+        # by what truncation dropped and by rounding
+        model = fit_ca(random_count_table(np.random.default_rng(9)))
+        assert np.array_equal(
+            model.percent_inertia, 100.0 * model.eigenvalues / model.total_inertia
+        )
+
+    def test_failed_svd_raises(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(ConvergenceError, match="SVD failed: SVD did not converge"):
             decompose(normalize(DIAG))
 
     def test_distance_invariance_random_6x4(self):
@@ -473,3 +510,11 @@ class TestSupplementary:
         model = fit_ca(DIAG)
         with pytest.raises(EmptyProfile):
             project_supplementary_row(model, np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "profile, match", [([2, -1], "negative"), ([1, 1, 1], "length 3 != 2")],
+        ids=["negative", "wrong_length"],
+    )
+    def test_non_profile_raises(self, profile, match):
+        with pytest.raises(EmptyProfile, match=match):
+            project_supplementary_row(fit_ca(DIAG), np.array(profile))

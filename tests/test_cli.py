@@ -18,13 +18,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronosem import cli as cli_module
 from chronosem import _workers, impact, segmentation
 from chronosem.cli import (
     _HASH_BLOCK,
+    MAX_PERMUTATIONS,
     SUBCOMMANDS,
     UNEXPECTED_ERROR_EXIT,
     PipelineConfig,
@@ -50,6 +51,7 @@ ALL_ARTIFACTS = {
     "segments.json", "segments.csv",
     "impact.json", "impact.csv", "impact_curve.csv",
 }
+INGEST_ARTIFACTS = {"matrix.csv", "matrix_roles.json", "vocab.csv"}
 
 
 def cli(*argv):
@@ -552,6 +554,12 @@ class TestErrors:
             ("nul.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,c\0d,0,1\n", 3),
             ("underscore_id.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,c d,0,1_0\n", 3),
             ("null_text.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": null}\n', 2),
+            # a text must be a string, never the str() of another JSON value
+            ("list_text.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": ["a"]}\n', 2),
+            ("dict_text.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": {"t": "a"}}\n', 2),
+            ("int_text.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": 7}\n', 2),
+            ("float_text.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": 1.5}\n', 2),
+            ("bool_text.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": true}\n', 2),
             # nested past the JSON decoder's recursion limit on every Python
             ("deep.jsonl",
              b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": '
@@ -561,7 +569,8 @@ class TestErrors:
             "float_campaign", "malformed_jsonl", "non_utf8", "short_row",
             "yes_initiating", "numeric_initiating", "initiating_without_campaign",
             "field_over_csv_limit", "integer_over_digit_limit", "nul_byte",
-            "underscore_in_id", "null_text", "nesting_over_recursion_limit",
+            "underscore_in_id", "null_text", "list_text", "dict_text", "int_text",
+            "float_text", "bool_text", "nesting_over_recursion_limit",
         ],
     )
     def test_bad_corpus_record_exit_3_names_line(self, tmp_path, capsys, name, content, line):
@@ -821,6 +830,152 @@ class TestCliProperty:
                     return
                 outputs.append(artifact_bytes(tmp / rerun))
             assert outputs[0] == outputs[1]
+
+
+class _Raw:
+    """A value written into the corpus file as this exact text."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __str__(self):
+        return self.text
+
+    def __repr__(self):
+        return f"_Raw({self.text[:20]!r}...{len(self.text)})"
+
+
+_FIELDS = ("seq_no", "text", "is_initiating", "campaign")
+_ODD_VALUES = st.sampled_from(
+    [["a"], {"a": 1}, 1.5, True, False, None, 10**30, float("nan"), -1]
+) | st.integers(1, 100_000).map(lambda d: _Raw("[" * d + "]" * d))
+_FLAG_EDGES = {
+    "--min-freq": [0, 1, 2, 2**63],
+    "--min-docs": [0, 1, 2, 2**63],
+    "--alpha": [0, 1e-300, 0.5, 1, "nan", "inf"],
+    "--permutations": [0, 1, MAX_PERMUTATIONS + 1, 10**30],
+    "--seed": [-1, 0, 2**63, 10**30],
+    "--top-tweets": [0, 1, 10**30],
+    "--top-terms": [0, 1, 10**30],
+    "--campaign": [-1, 0, 2**63],
+    "--dims": ["full", "plane", "", "FULL"],
+}
+# text inserted at a drawn place in the file
+_INSERTS = {"bom": "\ufeff", "nul": "\0", "cr": "\r", "quote": '"', "long": "a" * 140_000}
+_MUTATIONS = (
+    "drop", "repeat", "reorder", "rename", "value", "order", *_INSERTS, "crlf", "byte",
+    "flag", "path",
+)
+
+
+def _json_record(pairs) -> str:
+    return "{" + ", ".join(
+        f"{json.dumps(k)}: {v if isinstance(v, _Raw) else json.dumps(v)}" for k, v in pairs
+    ) + "}"
+
+
+@st.composite
+def _near_valid_inputs(draw):
+    """A valid corpus and run after one to three drawn mutations of its
+    records, its bytes or its flags: ``(subcommand, file suffix, bytes,
+    flags, output directory name)``.  Nine runs in ten are ``ingest``,
+    which forks no worker; ``all`` keeps 20 permutations."""
+    sub = draw(st.sampled_from(["ingest"] * 9 + ["all"]))
+    suffix = draw(st.sampled_from([".csv", ".jsonl"]))
+    records = [
+        [["seq_no", seq],
+         ["text", " ".join(draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6)))],
+         ["is_initiating", int(seq % 4 == 1)],
+         ["campaign", 1 + seq // 4]]
+        for seq in range(1, draw(st.integers(2, 10)) + 1)
+    ]
+    kinds = draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3))
+    flags, out = [], "out"
+    for kind in kinds:
+        rec = draw(st.sampled_from(records))  # three drops leave one of four fields
+        k = draw(st.integers(0, len(rec) - 1))
+        if kind == "drop":
+            del rec[k]
+        elif kind == "repeat":
+            rec.insert(k, list(rec[k]))
+        elif kind == "reorder":
+            rec[:] = draw(st.permutations(rec))
+        elif kind == "rename":
+            rec[k][0] = draw(st.sampled_from(["Seq_no", "txt", "", "text ", "campaign_id"]))
+        elif kind == "value":
+            field, value = draw(st.sampled_from(_FIELDS)), draw(_ODD_VALUES)
+            for pair in rec:
+                if pair[0] == field:
+                    pair[1] = value
+        elif kind == "order":
+            a, b = draw(st.permutations(range(len(records))))[:2]
+            records[a], records[b] = records[b], records[a]
+        elif kind == "flag":
+            name = draw(st.sampled_from(sorted(_FLAG_EDGES)))
+            if not (sub == "all" and name == "--permutations"):
+                flags += [name, str(draw(st.sampled_from(_FLAG_EDGES[name])))]
+        elif kind == "path":
+            out = "x" * 300  # over the file system's name limit
+    if suffix == ".csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([k for k, _ in records[0]])
+        writer.writerows([[str(v) for _, v in rec] for rec in records])
+        text = buf.getvalue()
+    else:
+        text = "".join(_json_record(rec) + "\n" for rec in records)
+    for kind in kinds:
+        if kind in _INSERTS:
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + _INSERTS[kind] + text[at:]
+        elif kind == "crlf":
+            text = text.replace("\n", "\r\n")
+    data = text.encode()
+    if "byte" in kinds:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return sub, suffix, data, tuple(flags), out
+
+
+_CSV_HEAD = b"seq_no,text,is_initiating,campaign\n1,amber birch,0,1\n"
+_JSON_HEAD = b'{"seq_no": 1, "text": "amber birch"}\n'
+
+
+class TestNearValidInputs:
+    """The exit-code contract on inputs one to three mutations away from a
+    valid run: a documented exit code, on failure one JSON line with the
+    error last on stderr, on success a manifest listing every artifact."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(_near_valid_inputs())
+    # holes found and closed earlier: each once ended in a traceback or exit 5
+    @example(("ingest", ".csv", _CSV_HEAD + b"2,c\0d,0,1\n", (), "out"))
+    @example(("ingest", ".csv", _CSV_HEAD + b"2," + b"a" * 200_000 + b",0,1\n", (), "out"))
+    @example(("ingest", ".jsonl", _JSON_HEAD + b'{"seq_no": ' + b"9" * 4301 + b"}\n", (), "out"))
+    @example(("ingest", ".csv", _CSV_HEAD, (), "x" * 300))
+    @example(("all", ".csv", _CSV_HEAD, ("--permutations", str(10**30)), "out"))
+    @example(("ingest", ".jsonl",
+              _JSON_HEAD + b'{"seq_no": 2, "text": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
+              (), "out"))
+    def test_documented_exit_and_complete_manifest(self, run_args):
+        sub, suffix, data, flags, out_name = run_args
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp) / f"c{suffix}"
+            corpus.write_bytes(data)
+            out = Path(tmp) / out_name
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli(sub, "--input", corpus, "--out", out, "--min-freq", 1,
+                           "--min-docs", 1, "--permutations", 20, *flags)
+            assert code in (0, 2, 3, 4)
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert "error" in json.loads(err.getvalue().splitlines()[-1])
+                return
+            manifest = json.loads((out / "manifest.json").read_text())
+            listed = {a["path"] for a in manifest["artifacts"]}
+            assert listed == {p.name for p in out.iterdir()} - {"manifest.json"}
+            assert listed == (ALL_ARTIFACTS if sub == "all" else INGEST_ARTIFACTS)
 
 
 class TestForkPolicy:

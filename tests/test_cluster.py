@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from chronosem import _workers, cluster, to_newick
+from chronosem import _workers, cluster, segment, to_newick
 from chronosem.cluster import dendrogram_csv_rows, dendrogram_json_dict
 from chronosem.errors import DimensionMismatch
-from oracles import constrained_complete_link_bruteforce
+from oracles import constrained_complete_link_bruteforce, upcoming_bruteforce
 
 cluster_module = importlib.import_module("chronosem.cluster")
 
@@ -114,6 +114,39 @@ class TestCluster:
             cluster(np.array([[np.nan], [1.0]]))
         with pytest.raises(DimensionMismatch):
             cluster(np.ones((1, 2)))
+        with pytest.raises(DimensionMismatch, match="ids length"):
+            cluster(np.ones((3, 2)), ids=[1, 2])
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2, 2)], ids=["1d", "3d"])
+    @pytest.mark.parametrize("fn", [cluster, cluster_module.pdist, segment])
+    def test_points_must_be_n_by_dims(self, fn, shape):
+        with pytest.raises(DimensionMismatch, match=r"\(n, dims\)"):
+            fn(np.arange(np.prod(shape), dtype=float).reshape(shape))
+
+
+class TestUpcoming:
+    def test_next_lowest_links_no_earlier_merge_changes(self):
+        heights = np.array([0.5, 0.6, 1.0, 1.0, np.inf, 2.0, 0.7, 4.0])
+        bounds = [0, 2, 3, 5, 6, 9, 10, 12, 13, 15]
+        # link 1 is beside the proposal at 0; link 2 wins its tie with 3,
+        # which then sits beside it, as 5 and 7 sit beside 6; inf ends it
+        assert cluster_module._upcoming(heights, 0, bounds, 3) == [(10, 12, 13), (3, 5, 6)]
+        assert cluster_module._upcoming(heights, 0, bounds, 1) == [(10, 12, 13)]
+
+    def test_equals_a_sort_of_every_link(self):
+        # ties among the ten lowest links, none at the edge of the window
+        # of 4k links, where the partition may pick any of equal links
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            heights = 1 + rng.random(200)
+            heights[rng.integers(0, 200, 20)] = np.inf
+            heights[rng.choice(200, 10, replace=False)] = rng.choice([0.1, 0.2, 0.3], 10)
+            pos = int(rng.integers(200))
+            heights[pos] = 0.0
+            bounds = np.cumsum(rng.integers(1, 4, 202)).tolist()
+            for k in (4, 8):
+                assert cluster_module._upcoming(heights, pos, bounds, k) == (
+                    upcoming_bruteforce(heights, pos, bounds, k))
 
 
 class TestExports:

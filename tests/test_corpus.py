@@ -58,6 +58,8 @@ class TestTokenize:
         assert tokenize("A &amp; B!!", NO_STOPWORDS) == ["and"]
         # default stopword list contains "and"
         assert tokenize("A &amp; B!!") == []
+        # substituted inside a word, it joins the letters around it
+        assert tokenize("R&amp;D", NO_STOPWORDS) == ["randd"]
 
     def test_punctuation_delimits_instead_of_deleting(self):
         # apostrophe splits "I've" leaving the rump "ve"
@@ -297,6 +299,12 @@ class TestThreshold:
         vocab = build_vocabulary(docs[:3], NO_STOPWORDS)
         with pytest.raises(CorpusFormatError, match="vocabulary"):
             threshold_matrix(docs, vocab, 1, 1)
+
+    @pytest.mark.parametrize("thresholds", [(0, 1), (1, 0)])
+    def test_rejects_a_threshold_below_one(self, thresholds):
+        docs = self._docs()
+        with pytest.raises(CorpusFormatError, match=">= 1"):
+            threshold_matrix(docs, build_vocabulary(docs, NO_STOPWORDS), *thresholds)
 
 
 class TestMergeInitiating:

@@ -17,6 +17,7 @@ from chronosem import (
     significance,
     threshold_matrix,
 )
+from chronosem import impact
 from chronosem.errors import DegenerateSpread, DimensionMismatch, EmptyCampaign
 from chronosem.impact import PairwiseStats, _sum_squared_deviations
 from helpers import docs_from_rows, scale_corpus_rows, synthetic_corpus_rows
@@ -325,6 +326,17 @@ class TestDrilldown:
             assert len(set(scores.tolist())) < len(scores) / 2  # ties present
             stable = sorted(range(len(scores)), key=lambda i: -scores[i])
             assert [t[key] for t in top] == [names[i] for i in stable]
+
+    def test_counts_reach_the_fit_exactly(self, monkeypatch):
+        # a count past float32's exact integers (2**24) is not rounded
+        tdm, _ = fitted_corpus()
+        tdm.counts = tdm.counts * (2**24 + 1)
+        fitted = []
+        fit = impact.ca.fit_ca
+        monkeypatch.setattr(impact.ca, "fit_ca", lambda t: fitted.append(t) or fit(t))
+        drilldown(tdm, 1, top_tweets=10, top_terms=15)
+        table = tdm.counts[tdm.campaigns == 1].toarray()
+        assert np.array_equal(fitted[0], table[:, table.sum(axis=0) > 0])
 
     def test_unknown_campaign(self):
         tdm, _ = fitted_corpus()

@@ -90,6 +90,13 @@ class TestPermTest:
         assert 0.0 < res.p == p < 1.0
         assert res.decision == "block"
 
+    def test_every_relabelling_after_the_first_is_drawn(self):
+        # of two relabellings of well-separated groups only the observed
+        # first reaches h (a drawn one does with chance 2 in 184,756)
+        a, b = far_groups(10, 10)
+        for seed in range(5):
+            assert perm_test(a, b, PermTestConfig(n_permutations=2, rng_seed=seed)).p == 0.5
+
     def test_degenerate_union_auto_fuses(self):
         res = perm_test([[0.0]], [[99.0]], PermTestConfig(rng_seed=0))
         assert res.degenerate and res.decision == "fuse" and res.p == 1.0
@@ -122,6 +129,17 @@ class TestPermTest:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             perm_test(np.ones((2, 2)), np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch, match="at least one point"):
+            perm_test(np.ones((0, 2)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("alpha", 1.5, "outside"), ("n_permutations", 0, "positive"),
+         ("rng_seed", -1, "nonnegative")],
+    )
+    def test_config_rejects_out_of_range(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            PermTestConfig(**{field: value})
 
 
 class TestSegment:
@@ -243,6 +261,8 @@ class TestSegment:
         assert res.segments == [[7]] and res.tests == [] and res.blocked == []
         with pytest.raises(DimensionMismatch):
             segment(np.ones((0, 3)))
+        with pytest.raises(DimensionMismatch, match="ids length"):
+            segment(np.ones((3, 2)), ids=[1, 2])
 
 
 def _pool_clouds():
@@ -465,6 +485,12 @@ class TestSegmentCentroids:
         assert np.all(np.isfinite(fmap.coords[fmap.supplementary]))
         assert np.flatnonzero(fmap.supplementary).tolist() == [5, 17, 35, 38]
 
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_counts_need_one_row_per_document(self, rows):
+        res = SegmentationResult(segments=[[0, 1], [2]], tests=[])
+        with pytest.raises(DimensionMismatch, match=f"{rows} rows for 3"):
+            segment_centroids_as_supplementary(res, np.ones((rows, 2)))
+
     def test_single_segment_centroid_is_origin(self):
         rng = np.random.default_rng(4)
         counts = rng.integers(1, 4, size=(6, 8))
@@ -480,6 +506,7 @@ class TestSegmentCentroids:
         counts = rng.integers(0, 4, size=(9, 10))
         counts[:, 0] += 1
         counts[:, 3] = 0
+        counts[0, 0] = 2**24 + 1  # past float32's exact integers: not rounded
         res = SegmentationResult(segments=[[k] for k in range(9)], tests=[])
         fitted = []
         fit = segmentation.ca.fit_ca
