@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError, EmptyProfile, ZeroMarginError
+from .errors import ConvergenceError, EmptyProfile, TableTooLarge, ZeroMarginError
 
 __all__ = [
     "CAModel",
@@ -76,17 +76,14 @@ class CAModel:
 def normalize(counts) -> ProbabilityTable:
     """Divide counts by the grand total and compute marginal masses.
 
-    Accepts a dense array or scipy sparse matrix.  Raises
-    :class:`ZeroMarginError` when the grand total, a row sum or a column sum
-    is zero.
+    Accepts a dense array in any memory layout or a scipy sparse matrix,
+    alike to the bit.  Raises :class:`ZeroMarginError` when the grand
+    total, a row sum or a column sum is zero.
     """
-    # one float table, divided in place; a dense input is copied, never changed
-    if sp.issparse(counts):
-        f = sp.csr_array(counts, dtype=float).toarray()
-    else:
-        f = np.array(counts, dtype=float)
-    if f.ndim != 2:
+    if np.ndim(counts) != 2:
         raise ZeroMarginError("count table must be two-dimensional")
+    # one float table, in C order whatever the input's layout, divided in place
+    f = sp.csr_array(counts, dtype=float).toarray()
     if np.any(f < 0):
         raise ZeroMarginError("count table must be nonnegative")
     grand = f.sum()
@@ -142,8 +139,7 @@ def decompose(table: ProbabilityTable) -> CAModel:
     z -= expected
     z /= np.sqrt(expected, out=expected)
     del expected  # only the residual table is held through the SVD
-    # squared in C order, so the sum's bits do not follow f's layout (column-major in drilldown)
-    inertia = float(np.sum(np.multiply(z, z, order="C")))
+    inertia = float(np.sum(z * z))
     # relative cutoff, floored at the squared-eps noise scale so a
     # zero-inertia table cannot promote rounding noise to a factor
     noise_floor = (np.finfo(float).eps * max(table.shape)) ** 2
@@ -187,7 +183,10 @@ def decompose(table: ProbabilityTable) -> CAModel:
 
 def fit_ca(counts) -> CAModel:
     """Normalize and decompose in one step; ``counts`` is left unchanged."""
-    return decompose(normalize(counts))
+    try:
+        return decompose(normalize(counts))
+    except MemoryError as exc:
+        raise TableTooLarge(f"count table of shape {np.shape(counts)}: {exc}") from exc
 
 
 def _contributions(masses: np.ndarray, coords: np.ndarray) -> np.ndarray:

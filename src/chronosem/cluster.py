@@ -119,8 +119,8 @@ def _upcoming(heights: np.ndarray, pos: int, bounds: list, k: int) -> list:
     change.  A wrong guess costs time, never a result.
     """
     window = min(len(heights), 4 * k)
-    near = np.argpartition(heights, window - 1)[:window]
-    near = near[np.lexsort((near, heights[near]))]
+    near = np.flatnonzero(heights <= np.partition(heights, window - 1)[window - 1])
+    near = near[np.argsort(heights[near], kind="stable")]
     changing = {pos - 1, pos, pos + 1}
     ahead = []
     for q, height in zip(near.tolist(), heights[near].tolist()):

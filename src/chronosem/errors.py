@@ -52,6 +52,12 @@ class ConvergenceError(ChronosemError):
     exit_code = 4
 
 
+class TableTooLarge(ChronosemError):
+    """The count table's fit needs more memory than the process can have."""
+
+    exit_code = 4
+
+
 class DegenerateSpread(ChronosemError):
     """Pairwise-distance spread is zero; z-scores are undefined."""
 

@@ -1,3 +1,8 @@
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -18,6 +23,7 @@ from chronosem import (
     threshold_matrix,
     total_inertia,
 )
+from chronosem import ca as ca_module
 from chronosem.ca import CAModel, model_export_dict
 from chronosem.errors import ConvergenceError, EmptyProfile, ZeroMarginError
 from helpers import docs_from_rows, random_count_table, synthetic_corpus_rows
@@ -293,10 +299,35 @@ class TestFitMemory:
         fit_ca(given)
         assert [a.tobytes() for a in parts(given)] == before
 
+    def test_a_table_too_large_for_memory_raises(self):
+        pytest.importorskip("resource")
+        # only the child's own address space is limited, below the 2.98 GiB
+        # dense table of a 20000 x 20000 identity
+        script = textwrap.dedent("""
+            import resource, sys
+            import scipy.sparse as sp
+            from chronosem import fit_ca
+            from chronosem.errors import TableTooLarge
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, hard))
+            try:
+                fit_ca(sp.eye(20000, format="csr"))
+            except TableTooLarge as exc:
+                print(exc.exit_code, exc)
+        """)
+        src = os.path.dirname(os.path.dirname(ca_module.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("4 count table of shape (20000, 20000): ")
+        assert "GiB" in done.stdout
+
     @pytest.mark.parametrize(
         "counts",
         [random_count_table(np.random.default_rng(seed)) for seed in range(18, 24)]
-        # a column-major table (drilldown slices one) keeps that layout in f
+        # a column-major table (the drill-down slices one) still gives a C-order f
         + [np.asfortranarray(random_count_table(np.random.default_rng(seed), 40, 30))
            for seed in range(24, 27)]
         + [np.array([[7]]), np.ones((3, 4))],
@@ -313,9 +344,27 @@ class TestFitMemory:
         got = seen[0][1]
         assert (got.dtype, got.shape, got.tobytes()) == (z.dtype, z.shape, z.tobytes())
         assert model.total_inertia == float(np.sum(z * z))
-        # the buffer's layout (column-major above) does not reach the factors
+        # the SVD is handed a C-order table, as z is, so it gives z's factors
+        assert seen[0][0].flags.c_contiguous
         handed, ref = (np.linalg.svd(a, full_matrices=False) for a in (seen[0][0], z))
         assert all(x.tobytes() == y.tobytes() for x, y in zip(handed, ref))
+
+
+class TestLayouts:
+    def test_every_layout_fits_the_same_bits(self):
+        # the segment map and the drill-down each hand the fit a column-major slice
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            counts = random_count_table(rng, 40, 30)
+            wide = np.zeros((counts.shape[0], 2 * counts.shape[1]), dtype=counts.dtype)
+            wide[:, ::2] = counts
+            forms = [counts, np.asfortranarray(counts), wide[:, ::2], sparse.csr_array(counts)]
+            fits = [
+                [np.asarray(getattr(model, field.name)).tobytes()
+                 for field in dataclasses.fields(model)]
+                for model in map(fit_ca, forms)
+            ]
+            assert all(fit == fits[0] for fit in fits[1:])
 
 
 class TestContributions:

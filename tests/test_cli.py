@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronosem import cli as cli_module
-from chronosem import _workers, impact, segmentation
+from chronosem import _workers, ca, impact, segmentation
 from chronosem.cli import (
     _HASH_BLOCK,
     MAX_PERMUTATIONS,
@@ -654,6 +654,23 @@ class TestErrors:
         code = cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "x")
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceError"
+
+    def test_table_too_large_exit_4(self, tmp_path, capsys, monkeypatch):
+        shapes = []
+
+        def too_large(counts):
+            shapes.append(np.shape(counts))
+            raise MemoryError("Unable to allocate 2.98 GiB for an array with shape "
+                              "(20000, 20000) and data type float64")
+
+        monkeypatch.setattr(ca, "normalize", too_large)
+        code = cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "x")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "TableTooLarge"
+        assert str(shapes[0]) in payload["message"] and "2.98 GiB" in payload["message"]
 
     def _assert_unexpected(self, capfd, code, error):
         assert code == UNEXPECTED_ERROR_EXIT == 5

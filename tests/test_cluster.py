@@ -132,18 +132,22 @@ class TestUpcoming:
         # which then sits beside it, as 5 and 7 sit beside 6; inf ends it
         assert cluster_module._upcoming(heights, 0, bounds, 3) == [(10, 12, 13), (3, 5, 6)]
         assert cluster_module._upcoming(heights, 0, bounds, 1) == [(10, 12, 13)]
+        # the window of 4k links holds the proposal, its two neighbours and the guess
+        lows = np.array([0.1, 0.0, 0.2, 0.5, 0.3])
+        assert cluster_module._upcoming(lows, 1, list(range(7)), 1) == [(4, 5, 6)]
 
     def test_equals_a_sort_of_every_link(self):
-        # ties among the ten lowest links, none at the edge of the window
-        # of 4k links, where the partition may pick any of equal links
+        # ties among the ten lowest links, then integer heights, whose ties
+        # reach the edge of the window of the 4k lowest links
         rng = np.random.default_rng(12)
-        for _ in range(20):
-            heights = 1 + rng.random(200)
-            heights[rng.integers(0, 200, 20)] = np.inf
-            heights[rng.choice(200, 10, replace=False)] = rng.choice([0.1, 0.2, 0.3], 10)
-            pos = int(rng.integers(200))
+        for n, integer in [(200, False)] * 20 + [(1000, True)] * 20:
+            heights = rng.integers(1, 50, n) * 1.0 if integer else 1 + rng.random(n)
+            heights[rng.integers(0, n, n // 10)] = np.inf
+            if not integer:
+                heights[rng.choice(n, 10, replace=False)] = rng.choice([0.1, 0.2, 0.3], 10)
+            pos = int(rng.integers(n))
             heights[pos] = 0.0
-            bounds = np.cumsum(rng.integers(1, 4, 202)).tolist()
+            bounds = np.cumsum(rng.integers(1, 4, n + 2)).tolist()
             for k in (4, 8):
                 assert cluster_module._upcoming(heights, pos, bounds, k) == (
                     upcoming_bruteforce(heights, pos, bounds, k))
@@ -242,3 +246,6 @@ class TestDistanceMatrix:
         assert [m.height for m in dendro.merges] == [m.height for m in cluster(pts).merges]
         with pytest.raises(DimensionMismatch):
             cluster(pts, dist=cluster_module.pdist(pts[:-1]))
+        # three points have three pairs, as many as the square matrix has rows
+        with pytest.raises(DimensionMismatch):
+            cluster(pts[:3], dist=squareform(cluster_module.pdist(pts[:3])))
