@@ -23,9 +23,5 @@ from .corpus import *
 from .impact import *
 from .segmentation import *
 
-__all__ = []
-__all__ += ca.__all__
-__all__ += _cluster.__all__
-__all__ += corpus.__all__
-__all__ += impact.__all__
-__all__ += segmentation.__all__
+__all__ = [*ca.__all__, *_cluster.__all__, *corpus.__all__, *impact.__all__,
+           *segmentation.__all__]

@@ -152,7 +152,7 @@ def decompose(table: ProbabilityTable) -> CAModel:
         raise ConvergenceError("SVD returned a non-finite value")
 
     n, p = table.shape
-    max_rank = max(min(n - 1, p - 1), 0)
+    max_rank = min(n - 1, p - 1)
     lam = sing**2
     n_keep = int(np.sum(lam > cutoff))
     n_keep = min(n_keep, max_rank)

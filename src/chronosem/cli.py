@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import errno
 import hashlib
+import io
 import itertools
 import json
 import operator
@@ -24,7 +25,7 @@ import os
 import platform
 import sys
 from dataclasses import dataclass
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from functools import cached_property
 from pathlib import Path
 
@@ -93,16 +94,12 @@ def _validate(config: PipelineConfig, subcommand: str):
         raise ConfigError("drilldown requires --campaign")
 
 
-_HASH_BLOCK = 1 << 20
+class _HashingWriter(io.BufferedWriter):
+    """A file's writer that feeds every chunk it writes to its ``digest``."""
 
-
-def _sha256(path: Path) -> str:
-    """Hex digest of a file, read one block at a time."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(_HASH_BLOCK):
-            digest.update(block)
-    return digest.hexdigest()
+    def write(self, b) -> int:
+        self.digest.update(b)
+        return super().write(b)
 
 
 _STRIPE_ROWS = 64  # rows per formatting task
@@ -195,7 +192,7 @@ class _Pipeline:
             if exc.errno not in (errno.EEXIST, errno.ENOTDIR, errno.ENAMETOOLONG):
                 raise
             raise ConfigError("output is not a directory", config.out) from exc
-        self.artifacts: list[Path] = []
+        self.artifacts: dict = {}  # path -> sha256 of the bytes written, in write order
 
     # -- artifacts -------------------------------------------------------
     def _open(self, name: str):
@@ -204,8 +201,9 @@ class _Pipeline:
         The first one removes an earlier run's manifest, now stale."""
         if not self.artifacts:
             (self.out / "manifest.json").unlink(missing_ok=True)
-        self.artifacts.append(self.out / name)
-        return open(self.artifacts[-1], "w", newline="", encoding="utf-8")
+        buf = _HashingWriter(io.FileIO(self.out / name, "w"))
+        buf.digest = self.artifacts[self.out / name] = hashlib.sha256()
+        return io.TextIOWrapper(buf, encoding="utf-8", newline="")
 
     def _json(self, name: str, obj) -> None:
         with self._open(name) as fh:
@@ -367,8 +365,9 @@ class _Pipeline:
             self._csv(name, [(key, score, "f1", "f2"), *rows])
 
     def write_manifest(self, subcommand: str) -> None:
-        """Hash every artifact so far into ``manifest.json``, the last one."""
-        entries = [{"path": p.name, "sha256": _sha256(p)} for p in sorted(self.artifacts)]
+        """List every artifact so far and its digest in ``manifest.json``, the last one."""
+        entries = [{"path": p.name, "sha256": digest.hexdigest()}
+                   for p, digest in sorted(self.artifacts.items())]
         manifest = {
             "subcommand": subcommand,
             "config": dataclasses.asdict(self.config),
@@ -393,7 +392,7 @@ def run(subcommand: str, config: PipelineConfig) -> list[Path]:
     for stage in CHAIN if subcommand == "all" else (subcommand,):
         getattr(pipe, f"stage_{stage}")()
     pipe.write_manifest(subcommand)
-    return pipe.artifacts
+    return list(pipe.artifacts)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -440,16 +439,20 @@ def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
     subcommand = args.pop("subcommand")
     config = PipelineConfig(**args)
+    paths = None
     try:
         paths = run(subcommand, config)
+        # a full disk or a closed pipe fails here, not in the flush at exit
+        print(*paths, sep="\n", flush=True)
     except Exception as exc:  # every failure ends in one JSON line, never a traceback
+        if paths is not None:  # closing stdout drops the bytes the exit would retry
+            with suppress(OSError):
+                sys.stdout.close()
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConfigError) and exc.path is not None:
             payload["path"] = exc.path
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return exc.exit_code if isinstance(exc, ChronosemError) else UNEXPECTED_ERROR_EXIT
-    for path in paths:
-        print(path)
     return 0
 
 

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from chronosem import cli as cli_module
 from chronosem import _workers, ca, impact, segmentation
 from chronosem.cli import (
-    _HASH_BLOCK,
     MAX_PERMUTATIONS,
     SUBCOMMANDS,
     UNEXPECTED_ERROR_EXIT,
@@ -260,14 +259,20 @@ class TestSharedDistances:
             assert outputs[sub, 3] == outputs[sub, 1]
 
     def test_manifest_hashes_files_larger_than_one_block(self, tmp_path):
+        # over 1 MiB in 400 writes of 1 to 31,894 bytes, smaller and larger
+        # than the writer's buffer, of characters one to four bytes long
         pipe = _Pipeline(PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path)))
-        big = tmp_path / "big.bin"
-        big.write_bytes(np.random.default_rng(0).bytes(2 * _HASH_BLOCK + 123))
-        pipe.artifacts.append(big)
+        sizes = (2 ** np.random.default_rng(0).uniform(0, 14, 400)).astype(int)
+        pieces = [("a\u00e9\u20ac\U0001d11e\r\n" * 3000)[:n] for n in sizes.tolist()]
+        with pipe._open("big.txt") as fh:
+            for piece in pieces:
+                fh.write(piece)
         pipe.write_manifest("ingest")
+        data = (tmp_path / "big.txt").read_bytes()
+        assert len(data) > 1 << 20 and data == "".join(pieces).encode("utf-8")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        digest = hashlib.sha256(big.read_bytes()).hexdigest()
-        assert manifest["artifacts"] == [{"path": "big.bin", "sha256": digest}]
+        digest = hashlib.sha256(data).hexdigest()
+        assert manifest["artifacts"] == [{"path": "big.txt", "sha256": digest}]
 
 
 class TestSubcommands:
@@ -354,6 +359,19 @@ class TestSubcommands:
         assert len(dd["top_tweets"]) == 4
         assert len(dd["top_terms"]) == 6
 
+    def test_artifacts_printed_and_returned_in_write_order(self, tmp_path, capsys):
+        # the manifest lists them sorted by name, which here is another order
+        out = tmp_path / "dd"
+        argv = ["--input", SYNTHETIC3, "--out", out, "--campaign", 2]
+        assert cli("drilldown", *argv) == 0
+        names = ["drilldown.json", "drilldown_tweets.csv", "drilldown_terms.csv"]
+        written = [out / name for name in [*names, "manifest.json"]]
+        assert capsys.readouterr().out == "".join(f"{p}\n" for p in written)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [a["path"] for a in manifest["artifacts"]] == sorted(names)
+        config = PipelineConfig(input=str(SYNTHETIC3), out=str(out), campaign=2)
+        assert run("drilldown", config) == written
+
 
 class TestCsvFloats:
     """A float cell of a CSV artifact is the ``repr`` of the Python float
@@ -409,7 +427,7 @@ class TestCsvFloats:
         pipe._csv("floats.csv", [("a", "b", "c", "d", "e"), values])
         text = (tmp_path / "floats.csv").read_bytes().decode("utf-8")
         assert text == "a,b,c,d,e\nnan,-0.0,1e-05,1e+16,0.30000000000000004\n"
-        assert pipe.artifacts == [tmp_path / "floats.csv"]
+        assert list(pipe.artifacts) == [tmp_path / "floats.csv"]
 
 
 class TestErrors:
@@ -542,6 +560,7 @@ class TestErrors:
             ("malformed.jsonl", b'{"seq_no": 1, "text": "a b"}\n\n{"seq_no": 2, "text": \n', 3),
             ("latin1.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,caf\xe9,0,1\n", 3),
             ("short_row.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2\n", 3),
+            ("two_field_row.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,c d\n", 3),
             ("yes_flag.csv", b"seq_no,text,is_initiating,campaign\n1,a b,0,1\n2,c d,yes,1\n", 3),
             ("two_flag.jsonl", b'{"seq_no": 1, "text": "a b", "is_initiating": 2}\n', 1),
             ("no_campaign.csv", b"seq_no,text,is_initiating,campaign\n1,alpha beta,1,\n", 2),
@@ -560,6 +579,9 @@ class TestErrors:
             ("int_text.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": 7}\n', 2),
             ("float_text.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": 1.5}\n', 2),
             ("bool_text.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": true}\n', 2),
+            # a record that is not an object, and one without a seq_no
+            ("list_record.jsonl", b'{"seq_no": 1, "text": "a b"}\n[2, "c d"]\n', 2),
+            ("no_seq_no.jsonl", b'{"seq_no": 1, "text": "a b"}\n{"text": "c d"}\n', 2),
             # nested past the JSON decoder's recursion limit on every Python
             ("deep.jsonl",
              b'{"seq_no": 1, "text": "a b"}\n{"seq_no": 2, "text": '
@@ -567,10 +589,10 @@ class TestErrors:
         ],
         ids=[
             "float_campaign", "malformed_jsonl", "non_utf8", "short_row",
-            "yes_initiating", "numeric_initiating", "initiating_without_campaign",
+            "two_field_row", "yes_initiating", "numeric_initiating", "initiating_without_campaign",
             "field_over_csv_limit", "integer_over_digit_limit", "nul_byte",
             "underscore_in_id", "null_text", "list_text", "dict_text", "int_text",
-            "float_text", "bool_text", "nesting_over_recursion_limit",
+            "float_text", "bool_text", "list_record", "no_seq_no", "nesting_over_recursion_limit",
         ],
     )
     def test_bad_corpus_record_exit_3_names_line(self, tmp_path, capsys, name, content, line):
@@ -755,6 +777,41 @@ class TestErrors:
         code = cli("ca", "--input", SYNTHETIC3, "--out", tmp_path / "x")
         self._assert_unexpected(capfd, code, "PermissionError")
 
+    def test_failed_print_of_the_artifact_list_exit_5(self, tmp_path, capfd, monkeypatch):
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = cli("ingest", "--input", SYNTHETIC3, "--out", tmp_path / "x")
+        payload = self._assert_unexpected(capfd, code, "OSError")
+        assert "No space left on device" in payload["message"]
+
+    @pytest.mark.parametrize("stdout", ["/dev/full", "closed pipe"])
+    def test_unwritable_stdout_exit_5(self, tmp_path, stdout):
+        if stdout == "closed pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            out = open(write_end, "wb")
+        elif os.path.exists(stdout):
+            out = open(stdout, "wb")
+        else:
+            pytest.skip("no /dev/full")
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        # stdout block-buffered, as it is by default when not a terminal
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with out:
+            done = subprocess.run(
+                [sys.executable, "-m", "chronosem.cli", "ingest", "--input", str(SYNTHETIC3),
+                 "--out", str(tmp_path / "x")],
+                stdout=out, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**env, "PYTHONPATH": src},
+            )
+        assert done.returncode == UNEXPECTED_ERROR_EXIT
+        # one JSON line, and no second error from the interpreter's exit flush
+        assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+        assert sorted(json.loads(done.stderr)) == ["error", "message"]
+
     def test_run_api_validates_subcommand(self, tmp_path):
         config = PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path / "o"))
         with pytest.raises(ConfigError):
@@ -879,10 +936,26 @@ _FLAG_EDGES = {
 }
 # text inserted at a drawn place in the file
 _INSERTS = {"bom": "\ufeff", "nul": "\0", "cr": "\r", "quote": '"', "long": "a" * 140_000}
+_BYTE_MUTATIONS = (*_INSERTS, "crlf", "byte")
 _MUTATIONS = (
-    "drop", "repeat", "reorder", "rename", "value", "order", *_INSERTS, "crlf", "byte",
-    "flag", "path",
+    "drop", "repeat", "reorder", "rename", "value", "order", *_BYTE_MUTATIONS,
+    "flag", "path", "stopwords",
 )
+
+
+def _mutated_bytes(draw, text: str, kinds) -> bytes:
+    """``text`` in UTF-8 after each mutation in ``kinds`` that acts on bytes."""
+    for kind in kinds:
+        if kind in _INSERTS:
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + _INSERTS[kind] + text[at:]
+        elif kind == "crlf":
+            text = text.replace("\n", "\r\n")
+    data = text.encode()
+    if "byte" in kinds:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
 
 
 def _json_record(pairs) -> str:
@@ -894,9 +967,11 @@ def _json_record(pairs) -> str:
 @st.composite
 def _near_valid_inputs(draw):
     """A valid corpus and run after one to three drawn mutations of its
-    records, its bytes or its flags: ``(subcommand, file suffix, bytes,
-    flags, output directory name)``.  Nine runs in ten are ``ingest``,
-    which forks no worker; ``all`` keeps 20 permutations."""
+    records, its bytes, its flags or its stopword file: ``(subcommand, file
+    suffix, bytes, flags, output directory name, stopword file bytes or
+    None)``.  A stopword file holds zero to four words, after zero to three
+    mutations of its bytes.  Nine runs in ten are ``ingest``, which forks
+    no worker; ``all`` keeps 20 permutations."""
     sub = draw(st.sampled_from(["ingest"] * 9 + ["all"]))
     suffix = draw(st.sampled_from([".csv", ".jsonl"]))
     records = [
@@ -907,7 +982,7 @@ def _near_valid_inputs(draw):
         for seq in range(1, draw(st.integers(2, 10)) + 1)
     ]
     kinds = draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3))
-    flags, out = [], "out"
+    flags, out, stopwords = [], "out", None
     for kind in kinds:
         rec = draw(st.sampled_from(records))  # three drops leave one of four fields
         k = draw(st.integers(0, len(rec) - 1))
@@ -933,6 +1008,10 @@ def _near_valid_inputs(draw):
                 flags += [name, str(draw(st.sampled_from(_FLAG_EDGES[name])))]
         elif kind == "path":
             out = "x" * 300  # over the file system's name limit
+        elif kind == "stopwords":
+            words = draw(st.lists(st.sampled_from(_WORDS), max_size=4))
+            stop_kinds = draw(st.lists(st.sampled_from(_BYTE_MUTATIONS), max_size=3))
+            stopwords = _mutated_bytes(draw, "".join(w + "\n" for w in words), stop_kinds)
     if suffix == ".csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -941,17 +1020,7 @@ def _near_valid_inputs(draw):
         text = buf.getvalue()
     else:
         text = "".join(_json_record(rec) + "\n" for rec in records)
-    for kind in kinds:
-        if kind in _INSERTS:
-            at = draw(st.integers(0, len(text)))
-            text = text[:at] + _INSERTS[kind] + text[at:]
-        elif kind == "crlf":
-            text = text.replace("\n", "\r\n")
-    data = text.encode()
-    if "byte" in kinds:
-        at = draw(st.integers(0, len(data)))
-        data = data[:at] + b"\xff" + data[at:]
-    return sub, suffix, data, tuple(flags), out
+    return sub, suffix, _mutated_bytes(draw, text, kinds), tuple(flags), out, stopwords
 
 
 _CSV_HEAD = b"seq_no,text,is_initiating,campaign\n1,amber birch,0,1\n"
@@ -966,19 +1035,27 @@ class TestNearValidInputs:
     @settings(deadline=None, max_examples=200)
     @given(_near_valid_inputs())
     # holes found and closed earlier: each once ended in a traceback or exit 5
-    @example(("ingest", ".csv", _CSV_HEAD + b"2,c\0d,0,1\n", (), "out"))
-    @example(("ingest", ".csv", _CSV_HEAD + b"2," + b"a" * 200_000 + b",0,1\n", (), "out"))
-    @example(("ingest", ".jsonl", _JSON_HEAD + b'{"seq_no": ' + b"9" * 4301 + b"}\n", (), "out"))
-    @example(("ingest", ".csv", _CSV_HEAD, (), "x" * 300))
-    @example(("all", ".csv", _CSV_HEAD, ("--permutations", str(10**30)), "out"))
+    @example(("ingest", ".csv", _CSV_HEAD + b"2,c\0d,0,1\n", (), "out", None))
+    @example(("ingest", ".csv", _CSV_HEAD + b"2," + b"a" * 200_000 + b",0,1\n", (), "out", None))
+    @example(("ingest", ".jsonl", _JSON_HEAD + b'{"seq_no": ' + b"9" * 4301 + b"}\n", (), "out",
+              None))
+    @example(("ingest", ".csv", _CSV_HEAD, (), "x" * 300, None))
+    @example(("all", ".csv", _CSV_HEAD, ("--permutations", str(10**30)), "out", None))
     @example(("ingest", ".jsonl",
               _JSON_HEAD + b'{"seq_no": 2, "text": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
-              (), "out"))
+              (), "out", None))
+    # stopword files: empty, and one of every defect
+    @example(("ingest", ".csv", _CSV_HEAD, (), "out", b""))
+    @example(("ingest", ".csv", _CSV_HEAD, (), "out",
+              b"\xef\xbb\xbfamber\r\nbi\0rch\r" + b"a" * 140_000 + b"\xff\n"))
     def test_documented_exit_and_complete_manifest(self, run_args):
-        sub, suffix, data, flags, out_name = run_args
+        sub, suffix, data, flags, out_name, stopwords = run_args
         with tempfile.TemporaryDirectory() as tmp:
             corpus = Path(tmp) / f"c{suffix}"
             corpus.write_bytes(data)
+            if stopwords is not None:
+                (Path(tmp) / "stop.txt").write_bytes(stopwords)
+                flags += ("--stopwords", Path(tmp) / "stop.txt")
             out = Path(tmp) / out_name
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -990,9 +1067,11 @@ class TestNearValidInputs:
                 assert "error" in json.loads(err.getvalue().splitlines()[-1])
                 return
             manifest = json.loads((out / "manifest.json").read_text())
-            listed = {a["path"] for a in manifest["artifacts"]}
-            assert listed == {p.name for p in out.iterdir()} - {"manifest.json"}
-            assert listed == (ALL_ARTIFACTS if sub == "all" else INGEST_ARTIFACTS)
+            listed = {a["path"]: a["sha256"] for a in manifest["artifacts"]}
+            assert set(listed) == {p.name for p in out.iterdir()} - {"manifest.json"}
+            assert set(listed) == (ALL_ARTIFACTS if sub == "all" else INGEST_ARTIFACTS)
+            for name, digest in listed.items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 class TestForkPolicy:
@@ -1116,6 +1195,16 @@ class TestForkPolicy:
             assert solve(0, lambda: [0, 1]) == 0
             start = time.perf_counter()
         assert time.perf_counter() - start < 10
+
+    def test_results_below_the_asked_key_are_dropped(self, monkeypatch):
+        # keys 1 and 2 finish in the workers while nobody asks for them;
+        # asking for key 5 collects their results and keeps none of them
+        self._cores(monkeypatch, 2)
+        with _workers.solver(lambda key: key) as solve:
+            assert solve(0, lambda: [0, 1, 2]) == 0
+            time.sleep(0.2)
+            assert solve(5, lambda: []) == 5
+            assert solve.done == {} and not any(solve.sent.values())
 
     def test_caller_waits_for_its_own_key_only_and_without_spinning(self, monkeypatch):
         # key 1 is slow: asking for key 2 must not wait for it, and waiting

@@ -350,11 +350,12 @@ class TestCorpusIO:
             '1,"hello, world",1,1\n'
             "2,plain text,0,1\n"
             "3,no campaign here,0,\n"
+            "4,blank campaign,0, \n"
         )
         docs = load_corpus(path)
-        assert [d.seq_no for d in docs] == [1, 2, 3]
+        assert [d.seq_no for d in docs] == [1, 2, 3, 4]
         assert docs[0].is_initiating and docs[0].campaign == 1
-        assert docs[2].campaign is None
+        assert docs[2].campaign is None and docs[3].campaign is None
 
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -385,7 +386,7 @@ class TestCorpusIO:
     @pytest.mark.parametrize(
         "value, expected",
         [("0", False), ("1", True), ("true", True), ("false", False),
-         ("True", True), ("False", False), ("", False)],
+         ("True", True), ("False", False), ("", False), (" 1 ", True)],
     )
     def test_csv_initiating_spellings(self, tmp_path, value, expected):
         path = tmp_path / "corpus.csv"
