@@ -76,9 +76,10 @@ class CAModel:
 def normalize(counts) -> ProbabilityTable:
     """Divide counts by the grand total and compute marginal masses.
 
-    Accepts a dense array in any memory layout or a scipy sparse matrix,
-    alike to the bit.  Raises :class:`ZeroMarginError` when the grand
-    total, a row sum or a column sum is zero.
+    Accepts a dense array in any memory layout or a scipy sparse one,
+    alike to the bit; this is the one place a count table becomes dense.
+    Raises :class:`ZeroMarginError` when the grand total, a row sum or a
+    column sum is zero.
     """
     if np.ndim(counts) != 2:
         raise ZeroMarginError("count table must be two-dimensional")
@@ -251,9 +252,9 @@ class _RowBlocks:
         return self.form(self.masses[window], self.coords[window])[a - lo : b - lo]
 
 
-def _cloud(ids: list | None, masses: np.ndarray, coords: np.ndarray) -> dict:
+def _cloud(ids: list, masses: np.ndarray, coords: np.ndarray) -> dict:
     return {
-        "ids": list(ids) if ids is not None else list(range(len(masses))),
+        "ids": list(ids),
         "masses": masses,
         "coords": coords,
         "contributions": _RowBlocks(_contributions, masses, coords),
@@ -261,13 +262,10 @@ def _cloud(ids: list | None, masses: np.ndarray, coords: np.ndarray) -> dict:
     }
 
 
-def model_export_dict(
-    model: CAModel,
-    row_ids: list | None = None,
-    col_ids: list | None = None,
-) -> dict:
+def model_export_dict(model: CAModel, row_ids: list, col_ids: list) -> dict:
     """Summary for ``model.json``: eigenvalues, inertia shares, coordinates,
-    contributions and squared cosines for rows and columns.
+    contributions and squared cosines for rows and columns, each cloud
+    under its ``ids``.
 
     Each cloud's ``contributions`` (``masses[:, None] * coords**2``) and
     ``cos2`` (each squared row over its sum; a zero row stays zero) form

@@ -76,6 +76,8 @@ def _validate(config: PipelineConfig, subcommand: str):
     # os.path.isfile, unlike Path.is_file, is False for a name too long to exist
     if not os.path.isfile(config.input):
         raise ConfigError("input is not an existing file", config.input)
+    if not config.out:  # Path("") is the working directory
+        raise ConfigError("output directory name is empty", config.out)
     if config.stopwords is not None and not os.path.isfile(config.stopwords):
         raise ConfigError("stopword list is not an existing file", config.stopwords)
     if config.min_global_freq < 1 or config.min_doc_count < 1:

@@ -114,7 +114,7 @@ class Vocabulary:
     terms: list[str]
     global_freq: np.ndarray
     doc_count: np.ndarray
-    counts: sp.csr_matrix
+    counts: sp.csr_array
 
 
 def build_vocabulary(
@@ -131,12 +131,11 @@ def build_vocabulary(
             cols.append(index.setdefault(term, len(index)))
             vals.append(n)
         indptr.append(len(cols))
-    counts = sp.csr_matrix(
+    counts = sp.csr_array(
         (vals, cols, indptr), shape=(len(docs), len(index)), dtype=np.int64
     )
-    freq = np.asarray(counts.sum(axis=0)).ravel()
     ndocs = np.bincount(counts.indices, minlength=len(index)).astype(np.int64)
-    return Vocabulary(list(index), freq, ndocs, counts)
+    return Vocabulary(list(index), counts.sum(axis=0), ndocs, counts)
 
 
 @dataclass
@@ -149,7 +148,7 @@ class TermDocMatrix:
     columns after the terms.
     """
 
-    counts: sp.csr_matrix
+    counts: sp.csr_array
     seq_nos: np.ndarray
     row_supplementary: np.ndarray  # bool per row; True = initiating document
     campaigns: np.ndarray  # int per row, -1 when unlabelled
@@ -166,7 +165,7 @@ class TermDocMatrix:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def principal_counts(self) -> sp.csr_matrix:
+    def principal_counts(self) -> sp.csr_array:
         """Principal-row x principal-column block (the analyzed table)."""
         return self.counts[~self.row_supplementary]
 

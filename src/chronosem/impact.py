@@ -164,9 +164,8 @@ def build_impact_report(
         if launch.all():
             skipped.append((campaign, "no principal documents"))
             continue
-        counts = tdm.counts[rows].toarray()
-        proj = ca.project_supplementary_row(model, counts[launch].sum(axis=0))
-        centroid = ca.project_supplementary_row(model, counts[~launch].sum(axis=0))
+        proj = ca.project_supplementary_row(model, tdm.counts[rows[launch]].sum(axis=0))
+        centroid = ca.project_supplementary_row(model, tdm.counts[rows[~launch]].sum(axis=0))
         seq_nos = tuple(tdm.seq_nos[rows[launch]].tolist())
         scored.append((campaign, seq_nos, int((~launch).sum()), proj - centroid))
     d_full = [float(np.linalg.norm(diff)) for *_, diff in scored]
@@ -225,11 +224,10 @@ def drilldown(
     if campaign not in tdm.campaign_ids:  # -1 marks unlabelled documents
         raise EmptyCampaign(f"campaign {campaign} has no documents")
     rows = np.flatnonzero(tdm.campaigns == campaign)
-    dense = tdm.counts[rows].toarray()
-    keep = np.flatnonzero(dense.sum(axis=0) > 0)
-    dense = dense[:, keep]
+    counts = tdm.counts[rows]
+    keep = np.flatnonzero(counts.sum(axis=0))
     terms = [tdm.terms[j] for j in keep]
-    model = ca.fit_ca(dense)
+    model = ca.fit_ca(counts[:, keep])
 
     plane = min(2, model.n_factors)
     seq_nos = tdm.seq_nos[rows]

@@ -269,8 +269,9 @@ def segment_centroids_as_supplementary(
     Single-document segments are held out of the decomposition (they could
     distort it) and projected afterwards with zero mass, unless every
     segment is a singleton.  ``counts`` must hold one row per clustered
-    document, in sequence order; it is summed in CSR form (a dense table is
-    converted), never densified.
+    document, in sequence order; it is summed and sliced in CSR form (a
+    dense table is converted), and only the singletons' kept-column
+    profiles are made dense.
     """
     counts = sparse.csr_array(counts)
     sizes = np.array([len(seg) for seg in result.segments])
@@ -287,21 +288,20 @@ def segment_centroids_as_supplementary(
          np.arange(n_docs), np.cumsum([0, *sizes])),
         shape=(result.n_segments, n_docs),
     )
-    seg_counts = (members @ counts).toarray()
+    seg_counts = members @ counts
 
     supplementary = sizes == 1
     if supplementary.all():
         supplementary[:] = False
 
     active = seg_counts[~supplementary]
-    col_support = active.sum(axis=0)
-    kept_cols = np.flatnonzero(col_support > 0)
+    kept_cols = np.flatnonzero(active.sum(axis=0) > 0)
     model = ca.fit_ca(active[:, kept_cols])
 
     coords = np.zeros((result.n_segments, model.n_factors))
     coords[~supplementary] = model.row_coords
-    for k in np.flatnonzero(supplementary):
-        profile = seg_counts[k, kept_cols]
+    profiles = seg_counts[supplementary][:, kept_cols].toarray()
+    for k, profile in zip(np.flatnonzero(supplementary), profiles):
         if profile.sum() <= 0:
             coords[k] = np.nan
         else:

@@ -39,6 +39,14 @@ from oracles import (
 
 DIAG = np.array([[2, 0], [0, 2]])
 
+
+def _export(model):
+    """``model_export_dict`` with each point's index as its id."""
+    return model_export_dict(
+        model, row_ids=list(range(len(model.row_coords))),
+        col_ids=list(range(len(model.col_coords))),
+    )
+
 # small nonnegative count tables with every row and column sum positive
 count_tables = hnp.arrays(
     np.int64,
@@ -374,7 +382,7 @@ class TestContributions:
             model = fit_ca(random_count_table(rng))
             ctr = row_contributions(model)
             assert np.allclose(ctr.sum(axis=0), model.eigenvalues, atol=1e-9)
-            cc = model_export_dict(model)["cols"]["contributions"][:]
+            cc = _export(model)["cols"]["contributions"][:]
             assert np.allclose(cc.sum(axis=0), model.eigenvalues, atol=1e-9)
 
     def test_dominant_row_tops_factor_one(self):
@@ -391,7 +399,7 @@ class TestContributions:
         # like "0.04, 1.71, 9.94, ..." with two-decimal display
         rng = np.random.default_rng(9)
         model = fit_ca(random_count_table(rng))
-        export = model_export_dict(model)
+        export = _export(model)
         ctr = export["rows"]["contributions"][:]
         pct = 100.0 * ctr / np.array(export["eigenvalues"])
         assert np.allclose(pct.sum(axis=0), 100.0, atol=1e-9)
@@ -402,13 +410,13 @@ class TestContributions:
 class TestCorrelations:
     def test_single_factor_full_correlation(self):
         model = decompose(normalize(DIAG))
-        assert np.allclose(model_export_dict(model)["rows"]["cos2"][:], 1.0)
+        assert np.allclose(_export(model)["rows"]["cos2"][:], 1.0)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             model = fit_ca(random_count_table(rng))
-            sums = model_export_dict(model)["rows"]["cos2"][:].sum(axis=1)
+            sums = _export(model)["rows"]["cos2"][:].sum(axis=1)
             assert np.allclose(sums, 1.0, atol=1e-9)
 
     def test_axis_aligned_point(self):
@@ -417,7 +425,7 @@ class TestCorrelations:
         counts = np.array([[6, 1, 1], [1, 5, 1], [1, 1, 5], [2, 3, 3]])
         model = fit_ca(counts)
         assert model.n_factors == 2
-        cos2 = model_export_dict(model)["rows"]["cos2"][:]
+        cos2 = _export(model)["rows"]["cos2"][:]
         for i in (0, 3):
             assert sorted(cos2[i]) == pytest.approx([0.0, 1.0], abs=1e-9)
 
@@ -464,7 +472,7 @@ class TestExportTables:
         # split into row blocks gives the whole tables' bytes.
         with np.errstate(all="raise"):
             model = make_model()
-            export = model_export_dict(model)
+            export = _export(model)
             for cloud, masses, coords in (
                 ("rows", model.row_masses, model.row_coords),
                 ("cols", model.col_masses, model.col_coords),
@@ -489,7 +497,7 @@ class TestExportTables:
         model = _coords_model(rng.normal(size=(n, s)), rng.normal(size=(p, s)), rng)
         tracemalloc.start()
         try:
-            model_export_dict(model)
+            _export(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from chronosem import cli as cli_module
 from chronosem import _workers, ca, impact, segmentation
@@ -171,12 +172,16 @@ class TestSharedDistances:
         "subcommand, dims, builds",
         [
             ("all", "full", 1), ("all", "plane", 2), ("impact", "full", 1),
+            ("impact", "plane", 1), ("cluster", "full", 1), ("cluster", "plane", 1),
             ("segment", "full", 0), ("segment", "plane", 0),
         ],
     )
     def test_distances_built_once_per_view(
         self, tmp_path, monkeypatch, subcommand, dims, builds
     ):
+        config = PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path / "fit"))
+        n_factors = _Pipeline(config).model.n_factors
+        assert n_factors > 2
         cluster_module = importlib.import_module("chronosem.cluster")
         original = cluster_module.pdist
         calls = []
@@ -190,6 +195,10 @@ class TestSharedDistances:
         assert cli(subcommand, "--input", SYNTHETIC3, "--out", tmp_path, "--dims", dims,
                    "--permutations", 200) == 0
         assert len(calls) == builds
+        # cluster reads the --dims view, first; impact always scores the
+        # full factor space
+        plane = dims == "plane" and subcommand in ("all", "cluster")
+        assert [width for _, width in calls] == [2] * plane + [n_factors] * (builds - plane)
 
     def test_impact_scores_against_the_vector_cluster_got(self, tmp_path, monkeypatch):
         build, stats = cli_module.build_dendrogram, impact.pairwise_distance_stats
@@ -273,6 +282,23 @@ class TestSharedDistances:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         digest = hashlib.sha256(data).hexdigest()
         assert manifest["artifacts"] == [{"path": "big.txt", "sha256": digest}]
+
+
+class TestSparseTables:
+    def test_every_fit_reads_a_csr_array(self, tmp_path, monkeypatch):
+        # the main fit, the segment map and the drill-down slice and sum
+        # their tables in CSR; only normalize makes a table dense
+        tables = []
+        normalize = ca.normalize
+        monkeypatch.setattr(ca, "normalize", lambda t: tables.append(t) or normalize(t))
+        blocks = write_corpus_csv(scale_corpus_rows(n_blocks=4), tmp_path / "blocks.csv")
+        assert cli("all", "--input", blocks, "--out", tmp_path / "all",
+                   "--permutations", 200) == 0
+        assert len(tables) == 2
+        assert cli("drilldown", "--input", SYNTHETIC3, "--out", tmp_path / "dd",
+                   "--campaign", 2) == 0
+        assert len(tables) == 3
+        assert [type(t) for t in tables] == [sparse.csr_array] * 3
 
 
 class TestSubcommands:
@@ -766,6 +792,19 @@ class TestErrors:
         assert err["error"] == "ConfigError"
         assert err["path"] == str(out)
         assert taken.read_text() == "a file, not a directory\n"
+
+    def test_empty_out_exit_2_names_path(self, tmp_path, capsys, monkeypatch):
+        # Path("") is the working directory, whose manifest a run would replace
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "manifest.json").write_text("{}\n")
+        assert cli("ingest", "--input", SYNTHETIC3, "--out", "") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "ConfigError"
+        assert payload["path"] == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+        assert (tmp_path / "manifest.json").read_text() == "{}\n"
 
     def test_unwritable_output_exit_5(self, tmp_path, capfd, monkeypatch):
         # an output directory the system refuses to create is an I/O error,

@@ -336,7 +336,7 @@ class TestDrilldown:
         monkeypatch.setattr(impact.ca, "fit_ca", lambda t: fitted.append(t) or fit(t))
         drilldown(tdm, 1, top_tweets=10, top_terms=15)
         table = tdm.counts[tdm.campaigns == 1].toarray()
-        assert np.array_equal(fitted[0], table[:, table.sum(axis=0) > 0])
+        assert np.array_equal(fitted[0].toarray(), table[:, table.sum(axis=0) > 0])
 
     def test_unknown_campaign(self):
         tdm, _ = fitted_corpus()

@@ -132,7 +132,7 @@ def test_zero_coordinate_row_matches_reference(monkeypatch, stripe_rows):
         col_coords=np.asfortranarray(rng.normal(size=(5, 9))),
         row_masses=rng.random(70) + 0.5, col_masses=rng.random(5) + 0.5, total_inertia=1.0,
     )
-    export = model_export_dict(model)
+    export = model_export_dict(model, row_ids=list(range(70)), col_ids=list(range(5)))
     buf, rows_csv = io.StringIO(), io.StringIO()
     _dump_leaves(buf, export, {("rows", "coords"): (rows_csv, export["rows"]["ids"])})
     reference = _reference(export)
@@ -200,7 +200,8 @@ def test_artifacts_independent_of_worker_count(tmp_path, monkeypatch, name):
 def test_export_leaves_are_arrays_and_ids():
     docs = corpus.merge_adjacent_initiating(corpus.load_corpus(SYNTHETIC3))
     tdm = corpus.threshold_matrix(docs, corpus.build_vocabulary(docs), 5, 5)
-    export = model_export_dict(fit_ca(tdm.principal_counts()), col_ids=tdm.terms)
+    seq = [int(s) for s in tdm.principal_seq_nos()]
+    export = model_export_dict(fit_ca(tdm.principal_counts()), row_ids=seq, col_ids=tdm.terms)
     for cloud in ("rows", "cols"):
         assert isinstance(export[cloud]["ids"], list)
         for key in ("masses", "coords"):

@@ -517,7 +517,7 @@ class TestSegmentCentroids:
         assert not fmap.supplementary.any()
         kept = np.flatnonzero(counts.sum(axis=0) > 0)
         assert np.array_equal(fmap.kept_cols, kept)
-        assert np.array_equal(fitted[0], counts[:, kept].astype(float))
+        assert np.array_equal(fitted[0].toarray(), counts[:, kept].astype(float))
         assert np.array_equal(fmap.coords, fmap.model.row_coords)
 
     def test_singleton_outside_active_columns_is_nan(self):
@@ -565,7 +565,7 @@ class TestSegmentCentroids:
         assert np.array_equal(fmap.supplementary, single)
         kept = np.flatnonzero(dense_sums[~single].sum(axis=0) > 0)
         assert np.array_equal(fmap.kept_cols, kept)
-        assert np.array_equal(fitted[0], dense_sums[~single][:, kept])
+        assert np.array_equal(fitted[0].toarray(), dense_sums[~single][:, kept])
         for k in np.flatnonzero(single):
             expected = project_supplementary_row(fmap.model, dense_sums[k, kept])
             assert np.array_equal(fmap.coords[k], expected)
