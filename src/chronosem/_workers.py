@@ -4,6 +4,7 @@ forks: see :func:`solver`."""
 from __future__ import annotations
 
 import os
+import signal
 import threading
 from collections.abc import Callable, Iterable
 
@@ -31,7 +32,9 @@ def _serve(conn, parent_ends: list, fn: Callable) -> None:
 
     The fork copied the caller's ends of the pipes made so far, this
     worker's own among them; closing them lets the worker see end of file,
-    and exit, when the caller's process dies.
+    and exit, when the caller's process dies.  The worker inherits a mask
+    that blocks SIGINT, so a Ctrl-C, which reaches the whole process group,
+    never interrupts it; the caller decides whether to stop it.
     """
     for end in parent_ends:
         end.close()
@@ -59,14 +62,22 @@ class _Pool:
         self.procs = []
         self.sent: dict = {}  # each worker's pipe: its keys not yet collected, oldest first
         self.done: dict = {}
-        for _ in range(workers):
-            here, there = ctx.Pipe()
-            ends = [*self.sent, here]
-            proc = ctx.Process(target=_serve, args=(there, ends, fn), daemon=True)
-            proc.start()
-            there.close()
-            self.sent[here] = []
-            self.procs.append(proc)
+        if not workers:
+            return
+        # the workers inherit SIGINT blocked and keep it so (see _serve); the
+        # caller gets a Ctrl-C sent meanwhile once the forks are done
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(workers):
+                here, there = ctx.Pipe()
+                ends = [*self.sent, here]
+                proc = ctx.Process(target=_serve, args=(there, ends, fn), daemon=True)
+                proc.start()
+                there.close()
+                self.sent[here] = []
+                self.procs.append(proc)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
     def _collect(self, conn) -> None:
         """Receive the oldest outstanding result on a worker's pipe."""

@@ -52,6 +52,7 @@ CHAIN = ("ingest", "ca", "cluster", "segment", "impact")
 # exit code of a failure that is not a ChronosemError (a bug, a dead
 # worker process, an I/O error while writing)
 UNEXPECTED_ERROR_EXIT = 5
+INTERRUPTED_EXIT = 130  # Ctrl-C: 128 + SIGINT, as a shell reports it
 # 200 times the protocol's 5000; a gate's label array grows with it
 MAX_PERMUTATIONS = 1_000_000
 
@@ -255,10 +256,10 @@ class _Pipeline:
 
     @cached_property
     def dist(self):
-        """Condensed distances of the ``coords`` view, built by cluster and
-        shared with impact.  ``pdist`` is looked up on ``impact`` at call
-        time, so a wrapper set on that module sees this build too."""
-        return impact.pdist(self.coords)
+        """Condensed distances of the full coordinates, shared by cluster
+        under --dims full and impact.  ``pdist`` is looked up on ``impact``
+        at call time, so a wrapper set on that module sees this build too."""
+        return impact.pdist(self.model.row_coords)
 
     # -- stages ----------------------------------------------------------
     def stage_ingest(self):
@@ -286,7 +287,8 @@ class _Pipeline:
             fh.write("\n")
 
     def stage_cluster(self):
-        dendro = build_dendrogram(self.coords, ids=self.seq, dist=self.dist)
+        dist = self.dist if self.config.dims == "full" else None
+        dendro = build_dendrogram(self.coords, ids=self.seq, dist=dist)
         self._json("dendrogram.json", dendrogram_json_dict(dendro))
         with self._open("dendrogram.newick") as fh:
             fh.write(to_newick(dendro) + "\n")
@@ -329,12 +331,8 @@ class _Pipeline:
 
     def stage_impact(self):
         # impact is the chain's last user of the cached distances, so
-        # release them here.  Under --dims full they are impact's own; under
-        # --dims plane, and when impact runs alone, impact builds them.
-        dist = self.__dict__.pop("dist", None)
-        if self.config.dims != "full":
-            dist = None
-        report = impact.build_impact_report(self.tdm, self.model, dist)
+        # release them here; when cluster did not build them, impact does
+        report = impact.build_impact_report(self.tdm, self.model, self.__dict__.pop("dist", None))
         self._json("impact.json", report.to_dict())
         cols = ("campaign", "distance_plane", "distance_full", "z_score",
                 "two_sided_tail_percent", "percent_pairs_below")
@@ -446,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
         paths = run(subcommand, config)
         # a full disk or a closed pipe fails here, not in the flush at exit
         print(*paths, sep="\n", flush=True)
-    except Exception as exc:  # every failure ends in one JSON line, never a traceback
+    except (Exception, KeyboardInterrupt) as exc:  # one JSON line, never a traceback
         if paths is not None:  # closing stdout drops the bytes the exit would retry
             with suppress(OSError):
                 sys.stdout.close()
@@ -454,6 +452,8 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, ConfigError) and exc.path is not None:
             payload["path"] = exc.path
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        if isinstance(exc, KeyboardInterrupt):
+            return INTERRUPTED_EXIT
         return exc.exit_code if isinstance(exc, ChronosemError) else UNEXPECTED_ERROR_EXIT
     return 0
 

@@ -92,10 +92,6 @@ class SegmentationResult:
         return [t for t in self.tests if t.decision == BLOCK]
 
 
-# no meaningful split of fewer than 3 objects: fuse, flagged
-_DEGENERATE = PermTestResult(h=0, p=1.0, decision=FUSE, degenerate=True)
-
-
 def _coded_matrix(dist_matrix: np.ndarray) -> np.ndarray:
     """0/1 matrix coding each pairwise distance; the half strictly above the
     median is 1 (ties at the median conservatively 0).
@@ -126,21 +122,25 @@ def _relabelled_counts(
     return labels @ deg - quad
 
 
-def _test_from_distances(
-    dist_matrix: np.ndarray,
-    n_a: int,
-    config: PermTestConfig,
-    seed_seq: np.random.SeedSequence,
-) -> PermTestResult:
-    if dist_matrix.shape[0] < 3:
-        return _DEGENERATE
-    coded = _coded_matrix(dist_matrix)
+# a gate is named by its key (*spawn_key, start, split, stop): the union
+# start..stop-1 of two adjacent groups split before `split`, whose draws
+# are seeded with (rng_seed, *spawn_key); the run's t-th gate has the spawn
+# key (t,), perm_test the empty one
+GateKey = tuple[int, ...]
+
+
+def _gate(block: Callable, config: PermTestConfig, key: GateKey) -> PermTestResult:
+    *spawn_key, start, split, stop = key
+    if stop - start < 3:  # no meaningful split: fuse, flagged, reading no distance
+        return PermTestResult(h=0, p=1.0, decision=FUSE, degenerate=True)
+    union, n_a = slice(start, stop), split - start
+    coded = _coded_matrix(block(union, union))
     h = int(coded[:n_a, n_a:].sum())
+    seed_seq = np.random.SeedSequence(config.rng_seed, spawn_key=spawn_key)
     rng = np.random.Generator(np.random.Philox(seed_seq))
     counts = _relabelled_counts(coded, n_a, config.n_permutations, rng)
     p = float(np.count_nonzero(counts >= h) / config.n_permutations)
-    decision = FUSE if p > config.alpha else BLOCK
-    return PermTestResult(h=h, p=p, decision=decision)
+    return PermTestResult(h=h, p=p, decision=FUSE if p > config.alpha else BLOCK)
 
 
 def perm_test(
@@ -152,6 +152,7 @@ def perm_test(
     probability p of seeing a count >= h under random relabelling, and the
     fuse/block decision (fuse iff p > alpha).  Unions smaller than 3 points
     cannot be split meaningfully and auto-fuse with ``degenerate=True``.
+    This is the gate :func:`segment` runs, seeded with ``rng_seed`` alone.
     """
     a = np.atleast_2d(np.asarray(group_a, dtype=float))
     b = np.atleast_2d(np.asarray(group_b, dtype=float))
@@ -161,29 +162,11 @@ def perm_test(
         )
     if len(a) < 1 or len(b) < 1:
         raise DimensionMismatch("both groups need at least one point")
-    return _test_from_distances(
-        squareform(pdist(np.vstack([a, b]))),
-        len(a),
-        config,
-        np.random.SeedSequence(config.rng_seed),
-    )
+    d = squareform(pdist(np.vstack([a, b])))
+    return _gate(lambda rows, cols: d[rows, cols], config, (0, len(a), len(d)))
 
-
-# a gate is named by its key (t, start, split, stop): the union
-# start..stop-1 of two adjacent groups split before `split`, tested as the
-# t-th gate of the run, which seeds its draws with (rng_seed, t)
-GateKey = tuple[int, int, int, int]
 
 _LOOKAHEAD = 8  # predicted proposals offered to the workers at each gate
-
-
-def _gate(block: Callable, config: PermTestConfig, key: GateKey) -> PermTestResult:
-    t, start, split, stop = key
-    if stop - start < 3:
-        return _DEGENERATE  # no distance is read for a union that is not tested
-    union = slice(start, stop)
-    seed_seq = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(t,))
-    return _test_from_distances(block(union, union), split - start, config, seed_seq)
 
 
 def segment(

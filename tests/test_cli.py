@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import select
 import signal
 import subprocess
@@ -25,6 +26,7 @@ from scipy import sparse
 from chronosem import cli as cli_module
 from chronosem import _workers, ca, impact, segmentation
 from chronosem.cli import (
+    INTERRUPTED_EXIT,
     MAX_PERMUTATIONS,
     SUBCOMMANDS,
     UNEXPECTED_ERROR_EXIT,
@@ -375,6 +377,14 @@ class TestSubcommands:
         campaigns = json.loads((out / "impact.json").read_text())["campaigns"]
         assert [list(map(float, row)) for row in rows] == [
             [float(c[k]) for k in header] for c in campaigns]
+
+    def test_newick_leaves_are_the_dendrogram_leaves(self, tmp_path):
+        # the Newick names each leaf by its seq_no, in the leaves' order
+        assert cli("cluster", "--input", SYNTHETIC3, "--out", tmp_path) == 0
+        leaves = json.loads((tmp_path / "dendrogram.json").read_text())["leaves"]
+        newick = (tmp_path / "dendrogram.newick").read_text()
+        assert leaves != list(range(len(leaves)))
+        assert re.findall(r"[(,]([^(),:]+):", newick) == [str(v) for v in leaves]
 
     def test_drilldown_artifacts(self, tmp_path):
         out = tmp_path / "dd"
@@ -851,6 +861,53 @@ class TestErrors:
         assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
         assert sorted(json.loads(done.stderr)) == ["error", "message"]
 
+    # Ctrl-C sends SIGINT to the terminal's whole process group: the CLI and
+    # its workers.  Here the first stripe formatted sends it, from whichever
+    # process formats it; on two cores the formatting workers are running
+    _INTERRUPTED = textwrap.dedent('''
+        import os, signal, sys
+        cores = int(sys.argv[3])
+        usable = sorted(os.sched_getaffinity(0))
+        if len(usable) >= cores:
+            os.sched_setaffinity(0, usable[:cores])
+        else:  # the pool still forks a worker per core asked for
+            os.sched_getaffinity = lambda pid: set(range(cores))
+        from chronosem import cli
+        format_stripe = cli._format_stripe
+
+        def interrupting(block, ids):
+            try:
+                os.close(os.open(sys.argv[2] + ".sent", os.O_CREAT | os.O_EXCL))
+                os.killpg(0, signal.SIGINT)
+            except FileExistsError:  # another stripe sent it
+                pass
+            return format_stripe(block, ids)
+
+        cli._format_stripe = interrupting
+        sys.exit(cli.main(["ca", "--input", sys.argv[1], "--out", sys.argv[2]]))
+    ''')
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_ctrl_c_exit_130_with_one_json_line(self, tmp_path, cores):
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        out = tmp_path / "x"
+        # a session of its own, so the signal reaches this process group only
+        run_cli = subprocess.Popen(
+            [sys.executable, "-c", self._INTERRUPTED, str(SYNTHETIC3), str(out), str(cores)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        try:
+            _, err = run_cli.communicate(timeout=60)
+        finally:
+            run_cli.kill()
+        assert (tmp_path / "x.sent").exists()
+        assert run_cli.returncode == INTERRUPTED_EXIT == 130
+        assert err.splitlines() == ['{"error": "KeyboardInterrupt", "message": ""}']
+        assert not (out / "manifest.json").exists()
+        with pytest.raises(ProcessLookupError):  # no worker outlives the CLI
+            os.killpg(run_cli.pid, 0)
+
     def test_run_api_validates_subcommand(self, tmp_path):
         config = PipelineConfig(input=str(SYNTHETIC3), out=str(tmp_path / "o"))
         with pytest.raises(ConfigError):
@@ -1263,6 +1320,44 @@ class TestForkPolicy:
             start, cpu = time.perf_counter(), time.process_time()
             assert solve(1, lambda: [1]) == 1
             assert time.process_time() - cpu < 0.25 * (time.perf_counter() - start)
+
+    def test_ctrl_c_leaves_idle_workers_serving(self, monkeypatch):
+        # a Ctrl-C sends SIGINT to the whole process group; it never
+        # interrupts a worker, and the caller decides whether the run ends
+        self._cores(monkeypatch, 2)
+        with _workers.solver(lambda key: (os.getpid(), key)) as solve:
+            assert solve(0, lambda: [0, 1])[1] == 0
+            time.sleep(0.2)  # both workers wait for their next key
+            interrupted = solve.procs[0].pid
+            os.kill(interrupted, signal.SIGINT)
+            time.sleep(0.2)
+            assert all(proc.is_alive() for proc in solve.procs)
+            results = []
+            for i in range(2, 20):
+                time.sleep(0.003)  # the workers run ahead of the caller
+                results.append(solve(i, lambda: range(i, 20)))
+        assert [key for _, key in results] == list(range(2, 20))
+        assert interrupted in {pid for pid, _ in results}
+
+    def test_ctrl_c_as_a_worker_starts_leaves_it_serving(self, monkeypatch):
+        # each worker sends itself SIGINT as it starts, before it serves a
+        # key: the signal stays blocked and the worker serves on
+        self._cores(monkeypatch, 2)
+        serve = _workers._serve
+
+        def interrupted(*args):
+            os.kill(os.getpid(), signal.SIGINT)
+            serve(*args)
+
+        monkeypatch.setattr(_workers, "_serve", interrupted)
+        with _workers.solver(lambda key: (os.getpid(), key)) as solve:
+            results = []
+            for i in range(10):
+                time.sleep(0.003)  # the workers run ahead of the caller
+                results.append(solve(i, lambda: range(i, 10)))
+            assert all(proc.is_alive() for proc in solve.procs)
+        assert [key for _, key in results] == list(range(10))
+        assert os.getpid() not in {pid for pid, _ in results}
 
     def test_formatting_workers_exit_when_the_cli_dies(self, tmp_path):
         # the worker processes inherit the write end of a pipe; it reads end

@@ -159,6 +159,11 @@ class TestExports:
         nwk = to_newick(dendro)
         assert nwk == "((0:0.5,1:0.5):4.5,2:5);"
 
+    def test_newick_branch_lengths_keep_ten_digits(self):
+        # half of 1.234567891 needs all ten significant digits
+        nwk = to_newick(cluster(np.array([[0.0], [1.234567891]])))
+        assert nwk == "(0:0.6172839455,1:0.6172839455);"
+
     def test_newick_handles_deep_chains(self):
         # strictly widening 1-d chain agglomerates leaf by leaf
         pts = np.cumsum(np.linspace(1.0, 3.0, 2000))[:, None]

@@ -280,6 +280,15 @@ class TestDrilldown:
         assert all(t in tdm.terms for t in result.terms)
         assert len(result.terms) < tdm.n_terms
 
+    def test_keeps_every_term_the_campaign_uses(self):
+        # a term used once inside the campaign is a column of its space
+        tdm, _ = fitted_corpus()
+        totals = tdm.counts[tdm.campaigns == 1].sum(axis=0)
+        assert (totals == 1).any()
+        result = drilldown(tdm, 1, top_tweets=10, top_terms=15)
+        assert result.terms == [t for t, total in zip(tdm.terms, totals) if total > 0]
+        assert len(result.model.col_coords) == len(result.terms)
+
     def test_two_document_campaign_degenerates_gracefully(self):
         rows = synthetic_corpus_rows(docs_per_campaign=12)
         # graft a tiny fourth campaign reusing topic-1 words

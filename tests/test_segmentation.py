@@ -23,11 +23,7 @@ from chronosem import (
 )
 from chronosem import _workers, segmentation
 from chronosem.errors import DimensionMismatch
-from chronosem.segmentation import (
-    SegmentationResult,
-    _coded_matrix,
-    _test_from_distances,
-)
+from chronosem.segmentation import SegmentationResult, _coded_matrix, _gate
 from helpers import docs_from_rows, scale_corpus_rows, synthetic_corpus_rows, three_blob_points
 from oracles import (
     constrained_complete_link_bruteforce,
@@ -121,11 +117,9 @@ class TestPermTest:
         rng = np.random.default_rng(4)
         d = squareform(pdist(rng.standard_normal((7, 2))))
         cfg = PermTestConfig(rng_seed=5)
-        seed = np.random.SeedSequence(cfg.rng_seed)
-        base = _test_from_distances(d, 3, cfg, seed)
+        base = _gate(lambda r, c: d[r, c], cfg, (0, 3, 7))
         for transform in (lambda x: x**2, lambda x: np.sqrt(x), lambda x: 3 + 2 * x):
-            seed = np.random.SeedSequence(cfg.rng_seed)
-            res = _test_from_distances(transform(d), 3, cfg, seed)
+            res = _gate(lambda r, c: transform(d)[r, c], cfg, (0, 3, 7))
             assert res.h == base.h and res.p == base.p
 
     def test_dimension_mismatch(self):
@@ -213,10 +207,12 @@ class TestSegment:
                 expected = []
 
                 def gate(left, right):
-                    seed = np.random.SeedSequence(cfg.rng_seed, spawn_key=(len(expected),))
                     members = left + right
-                    res = _test_from_distances(
-                        dist[np.ix_(members, members)], len(left), cfg, seed
+                    union = dist[np.ix_(members, members)]
+                    res = _gate(
+                        lambda r, c: union[r, c],
+                        cfg,
+                        (len(expected), 0, len(left), len(members)),
                     )
                     expected.append(
                         ((left[0], left[-1]), (right[0], right[-1]), res.h, res.p, res.decision)
@@ -539,6 +535,36 @@ class TestSegmentCentroids:
         assert fmap.kept_cols.tolist() == list(range(6))
         assert np.isnan(fmap.coords[1]).all()
         assert np.isfinite(fmap.coords[[0, 2, 3]]).all()
+
+    def _segments(self, sizes):
+        bounds = np.cumsum([0] + sizes)
+        return SegmentationResult(
+            segments=[list(range(a, b)) for a, b in zip(bounds[:-1], bounds[1:])],
+            tests=[],
+        )
+
+    def test_column_used_once_by_active_segments_is_kept(self):
+        rng = np.random.default_rng(10)
+        counts = rng.integers(0, 4, size=(9, 8))
+        counts[:, 0] += 1
+        counts[:, 7] = 0
+        counts[4, 7] = 1  # one occurrence, in segment 1 of sizes 3, 2, 1, 3
+        fmap = segment_centroids_as_supplementary(self._segments([3, 2, 1, 3]), counts)
+        assert fmap.supplementary.tolist() == [False, False, True, False]
+        assert fmap.kept_cols.tolist() == list(range(8))
+
+    def test_singleton_with_one_kept_occurrence_is_projected(self):
+        rng = np.random.default_rng(11)
+        counts = rng.integers(0, 4, size=(8, 6))
+        counts[:, 0] += 1
+        counts[3] = 0
+        counts[3, 2] = 1  # document 3 is segment 1, a singleton
+        fmap = segment_centroids_as_supplementary(self._segments([3, 1, 4]), counts)
+        assert fmap.supplementary.tolist() == [False, True, False]
+        assert fmap.kept_cols.tolist() == list(range(6))
+        expected = project_supplementary_row(fmap.model, counts[3].astype(float))
+        assert np.isfinite(fmap.coords[1]).all()
+        assert np.allclose(fmap.coords[1], expected, atol=1e-12)
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_segment_sums_equal_dense_sums(self, monkeypatch, layout):
